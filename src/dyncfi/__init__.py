@@ -39,7 +39,6 @@ from .policy import (
     Verdict,
     check_call,
     check_jump,
-    check_return,
     scan_callbacks,
 )
 from .process import CallbackFinding, LoadedModule, ProcessImage, TransferLookupTable

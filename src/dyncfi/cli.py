@@ -17,6 +17,7 @@ import argparse
 import json
 import logging
 import os
+import struct
 import sys
 from pathlib import Path
 
@@ -101,9 +102,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DynCfiError("malformed-input",
+                          f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def _load_allowlist(path: str) -> frozenset[tuple[str, str]]:
     pairs = set()
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -121,11 +130,10 @@ def _config_from_args(args: argparse.Namespace) -> ReplayConfig:
         raise DynCfiError("missing-file", f"trace file not found: {args.trace}")
     sidecar = None
     if getattr(args, "sidecar", None):
-        sidecar_path = Path(args.sidecar)
-        if not sidecar_path.exists():
+        if not Path(args.sidecar).exists():
             raise DynCfiError("missing-file",
                               f"sidecar file not found: {args.sidecar}")
-        sidecar = load_sidecar(sidecar_path.read_text())
+        sidecar = load_sidecar(_read_text(args.sidecar))
     allowlist: frozenset[tuple[str, str]] = frozenset()
     if getattr(args, "allowlist", None):
         if not Path(args.allowlist).exists():
@@ -158,7 +166,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    events = parse_trace(Path(args.trace).read_text())
+    events = parse_trace(_read_text(args.trace))
     replayer = Replayer(config)
     report = replayer.replay(events)
     Path(args.output).write_text(report.to_json() + "\n")
@@ -176,7 +184,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_dair(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    events = parse_trace(Path(args.trace).read_text())
+    events = parse_trace(_read_text(args.trace))
     replayer = Replayer(config)
     report = replayer.replay(events)
     out: dict = {"dair": report.dair.to_report_dict()}
@@ -212,21 +220,27 @@ def _cmd_fixture(args: argparse.Namespace) -> int:
     if not spec_path.exists():
         raise DynCfiError("missing-file", f"spec file not found: {args.spec}")
     try:
-        raw = json.loads(spec_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise DynCfiError("malformed-spec", f"{args.spec}: {exc.msg}") from None
+        raw = json.loads(_read_text(args.spec))
+    except (ValueError, RecursionError) as exc:
+        raise DynCfiError("malformed-spec",
+                          f"{args.spec}: {getattr(exc, 'msg', exc)}") from None
     module_dicts = raw["modules"] if isinstance(raw, dict) and "modules" in raw \
         else [raw]
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
     boundary_lines: list[str] = []
-    for d in module_dicts:
-        spec = FixtureSpec.from_dict(d)
-        data = build_fixture(spec)
-        target = out_dir / Path(spec.path).name
-        target.write_bytes(data)
-        boundary_lines.extend(sidecar_lines(spec))
-        print(f"wrote {target} ({len(data)} bytes)")
+    try:
+        for d in module_dicts:
+            spec = FixtureSpec.from_dict(d)
+            data = build_fixture(spec)
+            target = out_dir / Path(spec.path).name
+            target.write_bytes(data)
+            boundary_lines.extend(sidecar_lines(spec))
+            print(f"wrote {target} ({len(data)} bytes)")
+    except (AttributeError, KeyError, TypeError, ValueError,
+            struct.error) as exc:  # wrong shapes or types in the spec
+        raise DynCfiError("malformed-spec",
+                          f"{args.spec}: bad module entry: {exc}") from None
     sidecar_file = out_dir / "boundaries.sidecar"
     sidecar_file.write_text("\n".join(boundary_lines) + "\n")
     print(f"wrote {sidecar_file}")
@@ -235,7 +249,7 @@ def _cmd_fixture(args: argparse.Namespace) -> int:
 
 def _cmd_mutate(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    events = parse_trace(Path(args.trace).read_text())
+    events = parse_trace(_read_text(args.trace))
     mutated = generate_adversarial_trace(
         events, MutationSpec(kind=args.mutation_class, event_seq=args.seq),
         config=config)

@@ -13,7 +13,7 @@ The parser reads:
     - .dynsym/.dynstr (exported and imported symbols)
     - .symtab/.strtab when present (local symbol detail)
     - .rel.* relocation entries (R_386_RELATIVE, R_386_JMP_SLOT)
-    - .plt stubs, matched to their GOT slots and import names
+    - .plt stubs, matched to their GOT slots and symbol names
 """
 
 from __future__ import annotations
@@ -127,7 +127,7 @@ class SymbolRecord:
 
 @dataclass(frozen=True)
 class PltEntry:
-    """A PLT stub at ``address`` (module-relative) calling import ``symbol``."""
+    """A PLT stub at ``address`` (module-relative) calling ``symbol``."""
 
     address: int
     symbol: str
@@ -199,10 +199,6 @@ class ModuleImage:
         """Starts of every known function: exported plus symtab-only ones."""
         return {s.value for s in self.symbols if s.kind == "function"}
 
-    def local_function_starts(self) -> set[int]:
-        """Function starts known only from the full symbol table."""
-        return self.defined_function_starts() - self.export_function_starts()
-
     def function_intervals(self) -> list[tuple[int, int]]:
         """Sorted [start, end) for functions with a nonzero size."""
         seen = set()
@@ -228,6 +224,7 @@ class ModuleImage:
                        module_id=self.module_id + "+stripped")
 
     def to_dict(self) -> dict:
+        local_starts = self.defined_function_starts() - self.export_function_starts()
         return {
             "module_id": self.module_id,
             "path": self.path,
@@ -247,7 +244,7 @@ class ModuleImage:
             "imports": list(self.imports),
             "locals": sorted(
                 {s.name for s in self.symbols
-                 if s.kind == "function" and s.value in self.local_function_starts()}),
+                 if s.kind == "function" and s.value in local_starts}),
             "plt": [{"address": hex(p.address), "symbol": p.symbol}
                     for p in self.plt_entries],
             "relocations": [
@@ -485,7 +482,7 @@ def _parse(data: bytes, path: str, *, is64: bool) -> ModuleImage:
                 if sym:
                     jmp_slots[r_offset] = sym
 
-    plt_entries = _decode_plt(sections, jmp_slots, set(imports))
+    plt_entries = _decode_plt(sections, jmp_slots, is64)
 
     module_id = f"{path}:{hashlib.sha1(data).hexdigest()[:10]}"
     return ModuleImage(
@@ -503,12 +500,13 @@ def _parse(data: bytes, path: str, *, is64: bool) -> ModuleImage:
 
 
 def _decode_plt(sections: list[Section], jmp_slots: dict[int, str],
-                imports: set[str]) -> list[PltEntry]:
+                is64: bool) -> list[PltEntry]:
     """Match 16-byte .plt strides to GOT slots named by jmp-slot relocations.
 
-    Recognises ``jmp *abs32`` (ff 25) and the PIC form ``jmp *disp32(%ebx)``
-    (ff a3, ebx = .got.plt). Strides that do not decode (e.g. PLT0) are
-    skipped; entries whose symbol is not an import are dropped.
+    Recognises ``jmp *abs32`` (ff 25, RIP-relative on x86-64) and the
+    i386 PIC form ``jmp *disp32(%ebx)`` (ff a3, ebx = .got.plt). Strides
+    that do not decode (e.g. PLT0) are skipped. Stubs for the module's
+    own exports (self-interposable calls under -fPIC) are kept.
     """
     plt = next((s for s in sections if s.name == ".plt" and s.data), None)
     if plt is None or not jmp_slots:
@@ -518,7 +516,10 @@ def _decode_plt(sections: list[Section], jmp_slots: dict[int, str],
     for start in range(0, len(plt.data) - 5, PLT_ENTRY_SIZE):
         b0, b1 = plt.data[start], plt.data[start + 1]
         slot = None
-        if b0 == 0xFF and b1 == 0x25:
+        if b0 == 0xFF and b1 == 0x25 and is64:
+            disp = struct.unpack_from("<i", plt.data, start + 2)[0]
+            slot = plt.virtual_offset + start + 6 + disp
+        elif b0 == 0xFF and b1 == 0x25:
             slot = struct.unpack_from("<I", plt.data, start + 2)[0]
         elif b0 == 0xFF and b1 == 0xA3 and gotplt is not None:
             disp = struct.unpack_from("<i", plt.data, start + 2)[0]
@@ -526,7 +527,7 @@ def _decode_plt(sections: list[Section], jmp_slots: dict[int, str],
         if slot is None:
             continue
         sym = jmp_slots.get(slot)
-        if sym and sym in imports:
+        if sym:
             entries.append(PltEntry(address=plt.virtual_offset + start, symbol=sym))
     return entries
 
@@ -904,10 +905,6 @@ class SidecarTable:
 
     def offsets_for(self, path: str) -> tuple[int, ...]:
         return self._by_path[path]
-
-    @property
-    def paths(self) -> set[str]:
-        return set(self._by_path)
 
 
 def load_sidecar(text: str) -> SidecarTable:

@@ -103,7 +103,7 @@ class FastPathCache:
 
 
 def check_call(p: ProcessImage, cache: FastPathCache | None,
-               src: int, dst: int, *, indirect: bool = True) -> Verdict:
+               src: int, dst: int) -> Verdict:
     """Validate a call transfer; the caller guarantees src is mapped."""
     src_mod = p.exec_module_at(src)
     assert src_mod is not None, "caller must reject unmapped sources"
@@ -152,20 +152,15 @@ def _allow_rule(p: ProcessImage, src_mod: LoadedModule,
             f"imported export of {dst_mod.module_id} at {hex(dst)}")
     if GLOBAL_SCOPE in scopes:
         return RULE_CALLBACK, f"callback address {hex(dst)}"
-    if any(tgt == dst and mid == src_mod.module_id
-           for (mid, _plt), tgt in p.plt_resolutions.items()):
-        return RULE_PLT_DIRECT, f"PLT-resolved target {hex(dst)}"
     return RULE_CALL_IMPORT, f"allowlisted target {hex(dst)}"
 
 
-def check_jump(p: ProcessImage, cache: FastPathCache | None,
-               src: int, dst: int) -> Verdict:
+def check_jump(p: ProcessImage, src: int, dst: int) -> Verdict:
     """Validate a jump transfer (intra-function or tail call).
 
-    ``cache`` is accepted for signature symmetry but never consulted: a
-    jump verdict depends on the source's enclosing function, so entries
-    keyed by (module, destination) would conflate sources with different
-    extents.
+    Never cached: a jump verdict depends on the source's enclosing
+    function, so entries keyed by (module, destination) would conflate
+    sources with different extents.
     """
     src_mod = p.exec_module_at(src)
     assert src_mod is not None, "caller must reject unmapped sources"
@@ -199,11 +194,6 @@ def check_jump(p: ProcessImage, cache: FastPathCache | None,
     return Verdict(DENY, RULE_JUMP_TAIL_CALL,
                    f"{hex(dst)} in {dst_mod.module_id} is not an allowed "
                    f"tail-call target", size)
-
-
-def check_return(shadow, claimed: int) -> Verdict:
-    """Validate a return against the shadow stack (delegation)."""
-    return shadow.pop_and_check(claimed)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ GLOBAL_SCOPE = "*"
 PROV_EXPORT_IMPORT = "export-import"
 PROV_LOCAL_SYMBOL = "local-symbol"
 PROV_CALLBACK = "callback-heuristic"
-PROV_PLT_RESOLVED = "plt-resolved"
 
 
 @dataclass(frozen=True)
@@ -70,10 +69,6 @@ class LoadedModule:
 
     def contains_exec(self, addr: int) -> bool:
         return any(lo <= addr < hi for lo, hi in self.exec_ranges())
-
-    def contains(self, addr: int) -> bool:
-        lo, hi = self.span()
-        return lo <= addr < hi
 
     def is_instruction(self, addr: int) -> bool:
         return self.imap.contains(addr - self.base)
@@ -130,10 +125,6 @@ class TransferLookupTable:
     def scopes(self, target: int) -> dict[str, set[str]]:
         return self._targets.get(target, {})
 
-    def allows(self, target: int, scope: str) -> bool:
-        scopes = self._targets.get(target)
-        return scopes is not None and (scope in scopes or GLOBAL_SCOPE in scopes)
-
     def targets_for(self, scope: str) -> set[int]:
         return {t for t, scopes in self._targets.items()
                 if scope in scopes or GLOBAL_SCOPE in scopes}
@@ -173,12 +164,6 @@ class ProcessImage:
     @property
     def callback_set(self) -> set[int]:
         return {f.address for f in self.callback_findings}
-
-    def module_at(self, addr: int) -> LoadedModule | None:
-        for lm in self.loaded.values():
-            if lm.contains(addr):
-                return lm
-        return None
 
     def exec_module_at(self, addr: int) -> LoadedModule | None:
         for lm in self.loaded.values():
@@ -378,8 +363,8 @@ class ProcessImage:
     def resolve_plt(self, module_id: str, plt_address: int) -> int:
         """Resolve a PLT entry to the first-loaded exporter's address.
 
-        The resolved pair is recorded so replay treats later calls through
-        this entry as direct.
+        The resolved pair is recorded in ``plt_resolutions`` for the
+        process snapshot.
 
         Raises:
             ProcessError: ``unknown-module`` / no such PLT entry.

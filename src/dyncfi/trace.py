@@ -1,8 +1,8 @@
 """Trace replay: parse control-flow event streams, drive the policy.
 
 Trace format: line-delimited JSON, one event per line, UTF-8, addresses
-as hex strings, ``seq`` starting at 1 and strictly increasing.  Event
-kinds and their payloads:
+as hex strings below 2^32, ``seq`` starting at 1 and strictly increasing.
+Event kinds and their payloads:
 
     load             path, base
     unload           path [, base]
@@ -55,6 +55,9 @@ TRANSFER_EVENT_KINDS = frozenset({
     "return", "plt-call",
 })
 
+#: Replay loads ELF32 modules only, so every address is a 32-bit value.
+ADDRESS_LIMIT = 1 << 32
+
 RULE_SELF_MODIFYING = "self-modifying-code"
 RULE_UNWIND_MISS = "unwind-miss"
 RULE_UNWIND = "exception-unwind"
@@ -90,7 +93,11 @@ class TraceEvent:
 def parse_trace(source: str | bytes | list[str]) -> list[TraceEvent]:
     """Parse a trace; every line yields an event or a positioned error."""
     if isinstance(source, bytes):
-        source = source.decode("utf-8")
+        try:
+            source = source.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise TraceError("malformed-trace",
+                             f"not UTF-8 text: {exc.reason}") from None
     lines = source.splitlines() if isinstance(source, str) else list(source)
     events: list[TraceEvent] = []
     last_seq = 0
@@ -100,8 +107,10 @@ def parse_trace(source: str | bytes | list[str]) -> list[TraceEvent]:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TraceError("malformed-trace", f"bad JSON: {exc.msg}",
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers JSONDecodeError and over-long integers.
+            raise TraceError("malformed-trace",
+                             f"bad JSON: {getattr(exc, 'msg', exc)}",
                              line=lineno) from None
         if not isinstance(obj, dict):
             raise TraceError("malformed-trace", "event is not an object",
@@ -124,13 +133,14 @@ def _event_from_obj(obj: dict, lineno: int) -> TraceEvent:
         raise TraceError("malformed-trace", msg, line=lineno)
 
     kind = obj.get("kind")
-    if kind not in EVENT_KINDS:
+    if not isinstance(kind, str) or kind not in EVENT_KINDS:
         fail(f"unknown event kind {kind!r}")
+    # type() rather than isinstance(): JSON true/false are bools, not ints.
     seq = obj.get("seq")
-    if not isinstance(seq, int) or seq < 1:
+    if type(seq) is not int or seq < 1:
         fail(f"bad seq {seq!r}")
     tid = obj.get("tid", 0)
-    if not isinstance(tid, int) or tid < 0:
+    if type(tid) is not int or tid < 0:
         fail(f"bad tid {tid!r}")
 
     def addr_field(name: str, required: bool) -> int | None:
@@ -139,14 +149,13 @@ def _event_from_obj(obj: dict, lineno: int) -> TraceEvent:
             if required:
                 fail(f"{kind} event missing {name!r}")
             return None
-        if isinstance(raw, str):
-            try:
-                return int(raw, 16)
-            except ValueError:
-                fail(f"bad address {raw!r} in {name!r}")
-        if isinstance(raw, int):
-            return raw
-        fail(f"bad address {raw!r} in {name!r}")
+        try:
+            value = int(raw, 16) if isinstance(raw, str) else raw
+        except ValueError:
+            value = None
+        if type(value) is not int or not 0 <= value < ADDRESS_LIMIT:
+            fail(f"bad address {raw!r} in {name!r}")
+        return value
 
     path = obj.get("path")
     if kind in ("load", "unload") and not isinstance(path, str):
@@ -157,11 +166,9 @@ def _event_from_obj(obj: dict, lineno: int) -> TraceEvent:
     target = addr_field("target", required=(kind == "exception-unwind"))
     addr = addr_field("addr", required=False)
     length = obj.get("len")
-    if kind in CALL_KINDS:
-        if not isinstance(length, int) or length <= 0:
-            fail(f"{kind} event needs a positive 'len'")
-    else:
-        length = length if isinstance(length, int) else None
+    if (kind in CALL_KINDS or length is not None) and not (
+            type(length) is int and length > 0):
+        fail(f"{kind} event needs a positive 'len', got {length!r}")
     return TraceEvent(seq=seq, tid=tid, kind=kind,
                       path=path if isinstance(path, str) else None,
                       base=base, src=src, dst=dst, length=length,
@@ -184,7 +191,6 @@ class ReplayConfig:
     sidecar: SidecarTable | None = None
     cache_enabled: bool = True
     module_root: Path | None = None
-    max_shadow_depth: int = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -278,7 +284,7 @@ class Replayer:
             fs_path = self.config.module_root / path
         try:
             data = fs_path.read_bytes()
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # ValueError: NUL in the path
             raise TraceError("malformed-trace",
                              f"cannot read module file {path!r}: {exc}",
                              seq=seq) from None
@@ -294,7 +300,7 @@ class Replayer:
 
     def _shadow(self, tid: int) -> ShadowStack:
         if tid not in self.shadows:
-            self.shadows[tid] = ShadowStack(self.config.max_shadow_depth)
+            self.shadows[tid] = ShadowStack()
         return self.shadows[tid]
 
     def _universe(self) -> int:
@@ -408,8 +414,7 @@ class Replayer:
             return
 
         if kind == "indirect-call":
-            verdict = check_call(p, self.cache, event.src, event.dst,
-                                 indirect=True)
+            verdict = check_call(p, self.cache, event.src, event.dst)
             self._record(report, event, verdict)
             self.dair_record(report, "indirect-call", verdict.target_set_size,
                              event.seq)
@@ -417,7 +422,7 @@ class Replayer:
             return
 
         if kind == "indirect-jump":
-            verdict = check_jump(p, self.cache, event.src, event.dst)
+            verdict = check_jump(p, event.src, event.dst)
             self._record(report, event, verdict)
             self.dair_record(report, "indirect-jump", verdict.target_set_size,
                              event.seq)
@@ -427,8 +432,7 @@ class Replayer:
             memo = self._directs()
             key = ("call", event.src, event.dst)
             if key not in memo:
-                memo[key] = check_call(p, None, event.src, event.dst,
-                                       indirect=False)
+                memo[key] = check_call(p, None, event.src, event.dst)
             self._record(report, event, memo[key])
             self._shadow(event.tid).push_call(event.src, event.src + event.length)
             return
@@ -437,7 +441,7 @@ class Replayer:
             memo = self._directs()
             key = ("jump", event.src, event.dst)
             if key not in memo:
-                memo[key] = check_jump(p, None, event.src, event.dst)
+                memo[key] = check_jump(p, event.src, event.dst)
             self._record(report, event, memo[key])
             return
 
@@ -466,7 +470,7 @@ class Replayer:
         except ResolutionError as exc:
             return Verdict(DENY, RULE_PLT_DIRECT, exc.message,
                            len(p.call_target_set(module_id)))
-        verdict = check_call(p, None, event.src, target, indirect=False)
+        verdict = check_call(p, None, event.src, target)
         if verdict.allowed:
             return Verdict(ALLOW, RULE_PLT_DIRECT,
                            f"PLT entry {hex(event.dst)} inlined to "

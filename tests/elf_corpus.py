@@ -19,6 +19,8 @@ CORPUS_64 = str(CORPUS_DIR / "libcorpus64.so")
 
 requires_readelf = pytest.mark.skipif(
     shutil.which("readelf") is None, reason="readelf not available")
+requires_objdump = pytest.mark.skipif(
+    shutil.which("objdump") is None, reason="objdump not available")
 
 
 def readelf_dynsym_exports(path: str) -> set[str]:
@@ -38,3 +40,11 @@ def readelf_dynsym_exports(path: str) -> set[str]:
         if name:
             exports.add(name)
     return exports
+
+
+def objdump_plt_entries(path: str) -> set[tuple[int, str]]:
+    """``(address, symbol)`` of every ``<symbol@plt>`` label in ``.plt``."""
+    out = subprocess.run(["objdump", "-d", "-j", ".plt", path],
+                         capture_output=True, text=True, check=True).stdout
+    return {(int(m.group(1), 16), m.group(2))
+            for m in re.finditer(r"^([0-9a-f]+) <([^@>]+)@plt>:$", out, re.M)}

@@ -78,7 +78,7 @@ def test_criterion_1_rule_oracle_equivalence():
                     f"call {hex(src)}->{hex(dst)}"
                 if ev.allowed:
                     assert ev.rule == ov["rule"], f"call {hex(src)}->{hex(dst)}"
-                ej = check_jump(p, None, src, dst)
+                ej = check_jump(p, src, dst)
                 oj = oracle.check_jump(desc, src, dst)
                 assert (ej.decision, ej.target_set_size) == \
                     (oj["decision"], oj["size"]), \

@@ -201,6 +201,31 @@ def test_fixture_rejects_bad_json(tmp_path: Path, capsys):
                  "-o", str(tmp_path / "out")]) == 2
 
 
+@pytest.mark.parametrize("spec", [
+    [1, 2],
+    {"modules": 5},
+    {"modules": [{"code_size": 16}]},
+    {"path": "a", "code": "zz"},
+    {"path": "a", "code_size": 16, "symbols": [{"name": 7, "value": "0x1000"}]},
+], ids=["list", "modules-int", "no-path", "bad-hex", "int-name"])
+def test_fixture_rejects_bad_spec_shape(tmp_path: Path, capsys, spec):
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    assert main(["fixture", "--spec", str(tmp_path / "spec.json"),
+                 "-o", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: malformed-spec")
+
+
+@pytest.mark.parametrize("which", ["trace", "sidecar", "allowlist"])
+def test_check_non_utf8_input_exits_2(workspace: Path, capsys, which):
+    bad = workspace / "bad.bin"
+    bad.write_bytes(b"\xff\xfe not utf-8\n")
+    trace = "bad.bin" if which == "trace" else "trace.jsonl"
+    # a repeated --sidecar overrides run_check's own: argparse keeps the last
+    extra = () if which == "trace" else (f"--{which}", str(bad))
+    assert run_check(workspace, trace, *extra) == 2
+    assert "error: malformed-input" in capsys.readouterr().err
+
+
 def test_console_entry_point_subprocess(workspace: Path):
     env = {"PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src"),
            "LOCKDOWN_LOG": "info", "PATH": "/usr/bin:/bin"}

@@ -27,7 +27,9 @@ from elf_corpus import (
     CORPUS_DIR,
     CORPUS_NONSTRIPPED_32,
     CORPUS_STRIPPED_32,
+    objdump_plt_entries,
     readelf_dynsym_exports,
+    requires_objdump,
     requires_readelf,
 )
 
@@ -268,6 +270,21 @@ def test_corpus_imports_and_relocations_match_readelf():
         expected.add((int(offset, 16), kind, symbol))
     assert {"relative", "jmp-slot"} <= {kind for _, kind, _ in expected}
     assert {(r.offset, r.kind, r.symbol) for r in img.relocations} == expected
+
+
+@requires_objdump
+@pytest.mark.parametrize("path", [
+    pytest.param(CORPUS_NONSTRIPPED_32, id="corpus32-nonstripped"),
+    pytest.param(CORPUS_STRIPPED_32, id="corpus32-stripped"),
+    pytest.param(CORPUS_64, id="corpus64"),
+])
+def test_corpus_plt_entries_match_objdump(path):
+    img = parse_module(open(path, "rb").read(), path, allow_elf64=True)
+    expected = objdump_plt_entries(path)
+    # the self-interposable exports' stubs as well as the imports' ones
+    assert {"corpus_add", "corpus_weak", "ext_open", "ext_log"} <= \
+        {sym for _, sym in expected}
+    assert {(e.address, e.symbol) for e in img.plt_entries} == expected
 
 
 def test_corpus_rebuild_is_byte_identical(tmp_path):

@@ -145,19 +145,19 @@ def test_allowlist_grants_non_imported_call():
 
 def test_jump_within_function_allowed():
     p, exe, lib = loaded_pair()
-    v = check_jump(p, None, EXE_BASE + 0x1004, EXE_BASE + 0x1010)
+    v = check_jump(p, EXE_BASE + 0x1004, EXE_BASE + 0x1010)
     assert v.allowed and v.rule == RULE_JUMP_INTRA
 
 
 def test_jump_as_tail_call_to_import_allowed():
     p, exe, lib = loaded_pair()
-    v = check_jump(p, None, EXE_BASE + 0x1004, LIB_BASE + 0x1000)
+    v = check_jump(p, EXE_BASE + 0x1004, LIB_BASE + 0x1000)
     assert v.allowed and v.rule == RULE_JUMP_TAIL_CALL
 
 
 def test_jump_mid_instruction_denied():
     p, exe, lib = loaded_pair()
-    v = check_jump(p, None, EXE_BASE + 0x1004, EXE_BASE + 0x1011)
+    v = check_jump(p, EXE_BASE + 0x1004, EXE_BASE + 0x1011)
     assert not v.allowed and v.rule == RULE_VALID_INSTRUCTION
 
 
@@ -168,20 +168,20 @@ def test_jump_escaping_function_denied_intra_rule():
     lib = p.load_module(images["libfoo.so"], LIB_BASE,
                         imap_for(specs["libfoo.so"], images["libfoo.so"], True))
     # src inside foo; dst = instruction inside bar's body (not a start)
-    v = check_jump(p, None, LIB_BASE + 0x1004, LIB_BASE + 0x1044)
+    v = check_jump(p, LIB_BASE + 0x1004, LIB_BASE + 0x1044)
     assert not v.allowed and v.rule == RULE_JUMP_INTRA
 
 
 def test_jump_cross_module_non_target_denied_tail_rule():
     p, exe, lib = loaded_pair()
     # instruction inside lib's foo body, not a function start
-    v = check_jump(p, None, EXE_BASE + 0x1004, LIB_BASE + 0x1004)
+    v = check_jump(p, EXE_BASE + 0x1004, LIB_BASE + 0x1004)
     assert not v.allowed and v.rule == RULE_JUMP_TAIL_CALL
 
 
 def test_jump_target_set_counts_extent_and_call_targets():
     p, exe, lib = loaded_pair()
-    v = check_jump(p, None, EXE_BASE + 0x1004, EXE_BASE + 0x1010)
+    v = check_jump(p, EXE_BASE + 0x1004, EXE_BASE + 0x1010)
     # main's extent [0x1000,0x1040) holds offsets {1000,1004,1008,1010};
     # call targets: main, start, foo -- 0x1000 overlaps, union = 6
     assert v.target_set_size == 6
@@ -426,7 +426,7 @@ def test_engine_matches_brute_force_oracle_on_random_images():
                     (ov["decision"], ov["size"]), (hex(src), hex(dst))
                 if ev.allowed:
                     assert ev.rule == ov["rule"], (hex(src), hex(dst))
-                ej = check_jump(p, None, src, dst)
+                ej = check_jump(p, src, dst)
                 oj = oracle.check_jump(desc, src, dst)
                 assert (ej.decision, ej.target_set_size) == \
                     (oj["decision"], oj["size"]), (hex(src), hex(dst))

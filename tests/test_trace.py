@@ -22,9 +22,11 @@ from dyncfi import (
     TraceEvent,
     events_to_jsonl,
     generate_adversarial_trace,
+    parse_module,
     parse_trace,
     replay,
 )
+from elf_corpus import CORPUS_NONSTRIPPED_32
 
 CALL = TraceEvent(seq=3, tid=0, kind="indirect-call",
                   src=EXE_BASE + 0x1004, dst=LIB_BASE + 0x1000, length=5)
@@ -77,6 +79,29 @@ def test_parse_rejects_bad_json_and_missing_fields():
         # calls require an instruction length
         parse_trace('{"seq":1,"tid":0,"kind":"indirect-call",'
                     '"src":"0x1","dst":"0x2"}')
+
+
+@pytest.mark.parametrize("line", [
+    '{"seq":true,"kind":"load","path":"a","base":"0x1000"}',
+    '{"seq":1,"tid":false,"kind":"load","path":"a","base":"0x1000"}',
+    '{"seq":1,"kind":"indirect-call","src":"0x1","dst":"0x2","len":true}',
+    '{"seq":1,"kind":"return","src":"0x1","dst":"0x2","len":0}',
+    '{"seq":1,"kind":"load","path":"a","base":"-0x1000"}',
+    '{"seq":1,"kind":"return","src":-5,"dst":"0x2"}',
+    '{"seq":1,"kind":"return","src":281474976710656,"dst":"0x2"}',
+    '{"seq":1,"kind":"return","src":"0x100000000","dst":"0x2"}',
+    '{"seq":1,"kind":"return","src":true,"dst":"0x2"}',
+    '{"seq":1,"kind":["load"]}',
+    '{"seq":1' + "0" * 5000 + '}',
+    "[" * 100000,
+    b'{"seq":1,"kind":"code-write"}\xff',
+], ids=["bool-seq", "bool-tid", "bool-len", "zero-len", "negative-base",
+        "negative-src", "src-2^48", "src-2^32", "bool-src", "list-kind",
+        "huge-int", "deep-nesting", "not-utf8"])
+def test_parse_rejects_nonsense_fields(line):
+    with pytest.raises(TraceError) as exc:
+        parse_trace(line)
+    assert exc.value.code == "malformed-trace" and exc.value.line in (1, None)
 
 
 def test_empty_input_replays_clean_with_no_metric():
@@ -214,6 +239,23 @@ def test_plt_call_to_non_plt_address_is_structural_error():
                    dst=EXE_BASE + 0x1000, length=5)]
     with pytest.raises(TraceError):
         replay(events, config, images)
+
+
+def test_plt_call_through_self_interposable_stub():
+    # gcc -fPIC routes corpus_weak's call to its own export corpus_add
+    # through corpus_add@plt; first-loaded-exporter resolution lands on
+    # the module's own definition.
+    img = parse_module(open(CORPUS_NONSTRIPPED_32, "rb").read(), "libcorpus32.so")
+    base = 0x10000000
+    events = [
+        TraceEvent(seq=1, tid=0, kind="load", path="libcorpus32.so", base=base),
+        TraceEvent(seq=2, tid=0, kind="plt-call",
+                   src=base + img.export_value("corpus_weak"),
+                   dst=base + 0x1010, length=5)]
+    report = replay(events, modules={"libcorpus32.so": img})
+    assert report.clean
+    assert report.verdicts[-1].rule == "plt-direct"
+    assert hex(base + img.export_value("corpus_add")) in report.verdicts[-1].reason
 
 
 def test_direct_transfers_excluded_from_metric():
