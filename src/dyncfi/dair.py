@@ -138,7 +138,8 @@ def compute_universe(p: ProcessImage,
     if not p.loaded:
         raise MetricError("empty-process", "no modules loaded")
     if mode == UNIVERSE_EXEC_BYTES:
-        return sum(lm.exec_byte_count() for lm in p.loaded.values())
+        return sum(hi - lo for lm in p.loaded.values()
+                   for lo, hi in lm.exec_ranges)
     if mode == UNIVERSE_VALID_INSTRUCTIONS:
         return sum(len(lm.imap.offsets) for lm in p.loaded.values())
     raise MetricError("invalid-universe", f"unknown universe mode {mode!r}")

@@ -22,6 +22,8 @@ import hashlib
 import struct
 from bisect import bisect_right
 from dataclasses import dataclass, replace
+from functools import cached_property
+from itertools import accumulate
 
 from .errors import ElfFormatError, FixtureError, SidecarError
 
@@ -162,16 +164,17 @@ class ModuleImage:
     stripped: bool
     elf_class: int = ELFCLASS32
 
-    # -- derived views -------------------------------------------------
+    # -- derived views (pure, so each is computed once per image) --------
 
-    def executable_ranges(self) -> list[tuple[int, int]]:
+    @cached_property
+    def executable_sections(self) -> tuple[Section, ...]:
+        return tuple(s for s in self.sections if s.executable and s.size > 0)
+
+    @cached_property
+    def executable_ranges(self) -> tuple[tuple[int, int], ...]:
         """Sorted, disjoint [start, end) module-relative executable ranges."""
-        ranges = [(s.virtual_offset, s.end) for s in self.sections
-                  if s.executable and s.size > 0]
-        return sorted(ranges)
-
-    def executable_sections(self) -> list[Section]:
-        return [s for s in self.sections if s.executable and s.size > 0]
+        return tuple(sorted((s.virtual_offset, s.end)
+                            for s in self.executable_sections))
 
     def section(self, name: str) -> Section | None:
         for s in self.sections:
@@ -186,33 +189,40 @@ class ModuleImage:
         return None
 
     def in_executable_range(self, offset: int) -> bool:
-        return any(lo <= offset < hi for lo, hi in self.executable_ranges())
+        return any(lo <= offset < hi for lo, hi in self.executable_ranges)
 
-    def export_records(self) -> list[SymbolRecord]:
-        return [s for s in self.symbols if s.origin == "dynsym"
-                and s.visibility == "exported"]
+    @cached_property
+    def export_records(self) -> tuple[SymbolRecord, ...]:
+        return tuple(s for s in self.symbols if s.origin == "dynsym"
+                     and s.visibility == "exported")
 
-    def export_function_starts(self) -> set[int]:
-        return {s.value for s in self.export_records() if s.kind == "function"}
+    @cached_property
+    def export_function_starts(self) -> frozenset[int]:
+        return frozenset(s.value for s in self.export_records
+                         if s.kind == "function")
 
-    def defined_function_starts(self) -> set[int]:
+    @cached_property
+    def defined_function_starts(self) -> frozenset[int]:
         """Starts of every known function: exported plus symtab-only ones."""
-        return {s.value for s in self.symbols if s.kind == "function"}
+        return frozenset(s.value for s in self.symbols if s.kind == "function")
 
-    def function_intervals(self) -> list[tuple[int, int]]:
-        """Sorted [start, end) for functions with a nonzero size."""
-        seen = set()
-        out = []
-        for s in self.symbols:
-            if s.kind == "function" and s.size > 0:
-                iv = (s.value, s.value + s.size)
-                if iv not in seen:
-                    seen.add(iv)
-                    out.append(iv)
-        return sorted(out)
+    @cached_property
+    def granule_boundaries(self) -> tuple[int, ...]:
+        """Sorted granule-carving starts: all known, or exported if stripped."""
+        return tuple(sorted(self.export_function_starts if self.stripped
+                            else self.defined_function_starts))
+
+    @cached_property
+    def function_intervals(self) -> tuple[tuple[int, int, int], ...]:
+        """Sorted, distinct (start, end, reach) for functions with a nonzero
+        size; reach is the largest end up to and including this entry."""
+        ivs = sorted({(s.value, s.value + s.size) for s in self.symbols
+                      if s.kind == "function" and s.size > 0})
+        reaches = accumulate((hi for _lo, hi in ivs), max)
+        return tuple((lo, hi, r) for (lo, hi), r in zip(ivs, reaches))
 
     def export_value(self, name: str) -> int | None:
-        for s in self.export_records():
+        for s in self.export_records:
             if s.name == name:
                 return s.value
         return None
@@ -224,7 +234,7 @@ class ModuleImage:
                        module_id=self.module_id + "+stripped")
 
     def to_dict(self) -> dict:
-        local_starts = self.defined_function_starts() - self.export_function_starts()
+        local_starts = self.defined_function_starts - self.export_function_starts
         return {
             "module_id": self.module_id,
             "path": self.path,
@@ -426,8 +436,8 @@ def _parse(data: bytes, path: str, *, is64: bool) -> ModuleImage:
             dynsym_idx = i
             recs, und, order = read_symbols(i, "dynsym")
             symbols.extend(recs)
-            imports.extend(n for n in und if n not in imports)
-            exports.extend(n for n in order if n not in exports)
+            imports.extend(und)
+            exports.extend(order)
     has_symtab_records = False
     for i, h in enumerate(headers):
         if h["type"] == SHT_SYMTAB:
@@ -490,8 +500,8 @@ def _parse(data: bytes, path: str, *, is64: bool) -> ModuleImage:
         path=path,
         sections=tuple(sections),
         symbols=tuple(symbols),
-        imports=tuple(imports),
-        exports=tuple(exports),
+        imports=tuple(dict.fromkeys(imports)),
+        exports=tuple(dict.fromkeys(exports)),
         plt_entries=tuple(plt_entries),
         relocations=tuple(relocations),
         stripped=not has_symtab_records,

@@ -166,11 +166,11 @@ def check_jump(p: ProcessImage, src: int, dst: int) -> Verdict:
     assert src_mod is not None, "caller must reject unmapped sources"
 
     extent = p.function_extent(src)
-    extent_instrs: set[int] = set()
-    if extent is not None:
-        extent_instrs = set(src_mod.instructions_in(extent[0], extent[1]))
     call_targets = p.call_target_set(src_mod.module_id)
-    size = len(extent_instrs | call_targets)
+    size = len(call_targets)
+    if extent is not None:
+        size += sum(1 for a in src_mod.instructions_in(*extent)
+                    if a not in call_targets)
 
     dst_mod = p.exec_module_at(dst)
     dst_valid = dst_mod is not None and dst_mod.is_instruction(dst)
@@ -227,7 +227,7 @@ def scan_callbacks(p: ProcessImage, lm: LoadedModule) -> list[CallbackFinding]:
 
     gotplt = lm.module.section(".got.plt")
 
-    for section in lm.module.executable_sections():
+    for section in lm.module.executable_sections:
         data = section.data
         n = len(data)
         for i in range(n):

@@ -17,13 +17,15 @@ Target-set construction per source module M:
     - configured allowlist entries (extra (module, symbol) grants).
 
 Mutations are serialized by the caller; every mutation bumps ``epoch`` so
-downstream caches can invalidate.
+downstream caches can invalidate.  Module views (ranges, sorted function
+intervals, granule boundaries) are computed once per image, not per event.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 from .elf import InstructionMap, ModuleImage
 from .errors import ProcessError, ResolutionError
@@ -49,6 +51,7 @@ class LoadedModule:
     def path(self) -> str:
         return self.module.path
 
+    @cached_property
     def span(self) -> tuple[int, int]:
         """Absolute [start, end) covering the mapped sections.
 
@@ -63,12 +66,10 @@ class LoadedModule:
         hi = max(s.end for s in sections)
         return (self.base + lo, self.base + hi)
 
-    def exec_ranges(self) -> list[tuple[int, int]]:
-        return [(self.base + lo, self.base + hi)
-                for lo, hi in self.module.executable_ranges()]
-
-    def contains_exec(self, addr: int) -> bool:
-        return any(lo <= addr < hi for lo, hi in self.exec_ranges())
+    @cached_property
+    def exec_ranges(self) -> tuple[tuple[int, int], ...]:
+        return tuple((self.base + lo, self.base + hi)
+                     for lo, hi in self.module.executable_ranges)
 
     def is_instruction(self, addr: int) -> bool:
         return self.imap.contains(addr - self.base)
@@ -77,9 +78,6 @@ class LoadedModule:
         """Absolute valid-instruction addresses within [lo, hi)."""
         return [self.base + off
                 for off in self.imap.offsets_in(lo - self.base, hi - self.base)]
-
-    def exec_byte_count(self) -> int:
-        return sum(hi - lo for lo, hi in self.module.executable_ranges())
 
 
 @dataclass(frozen=True)
@@ -110,17 +108,6 @@ class TransferLookupTable:
 
     def discard_target(self, target: int) -> None:
         self._targets.pop(target, None)
-
-    def drop_provenance(self, provenance: str) -> None:
-        """Remove one provenance everywhere, pruning emptied scopes/targets."""
-        for target in list(self._targets):
-            scopes = self._targets[target]
-            for scope in list(scopes):
-                scopes[scope].discard(provenance)
-                if not scopes[scope]:
-                    del scopes[scope]
-            if not scopes:
-                del self._targets[target]
 
     def scopes(self, target: int) -> dict[str, set[str]]:
         return self._targets.get(target, {})
@@ -167,7 +154,7 @@ class ProcessImage:
 
     def exec_module_at(self, addr: int) -> LoadedModule | None:
         for lm in self.loaded.values():
-            if lm.contains_exec(addr):
+            if any(lo <= addr < hi for lo, hi in lm.exec_ranges):
                 return lm
         return None
 
@@ -188,9 +175,8 @@ class ProcessImage:
         cached = self._target_cache.get(module_id)
         if cached is not None:
             return cached
-        targets = set(self.table.targets_for(module_id))
-        targets.update(self._allowlist_targets(module_id))
-        result = frozenset(targets)
+        result = frozenset(self.table.targets_for(module_id)
+                           | self._allowlist_targets(module_id))
         self._target_cache[module_id] = result
         return result
 
@@ -204,7 +190,7 @@ class ProcessImage:
         wanted = {sym for key, sym in self.allowlist if key in (lm.path, basename)}
         out: set[int] = set()
         for exporter in self.loaded.values():
-            for rec in exporter.module.export_records():
+            for rec in exporter.module.export_records:
                 if rec.name in wanted and rec.kind == "function":
                     out.add(exporter.base + rec.value)
         return out
@@ -239,22 +225,21 @@ class ProcessImage:
         off = addr - lm.base
         mod = lm.module
         if not mod.stripped:
-            best: tuple[int, int] | None = None
-            for lo, hi in mod.function_intervals():
-                if lo <= off < hi and (best is None or lo >= best[0]):
-                    best = (lo, hi)
-            if best is not None:
-                return (lm.base + best[0], lm.base + best[1])
-            boundaries = sorted(mod.defined_function_starts())
-        else:
-            boundaries = sorted(mod.export_function_starts())
+            # Innermost = the largest (start, end) containing off: walk left
+            # from the last start <= off while an interval reaches past off.
+            ivs = mod.function_intervals
+            i = bisect_left(ivs, (off + 1,))
+            while i > 0 and ivs[i - 1][2] > off:
+                i -= 1
+                if ivs[i][1] > off:
+                    return (lm.base + ivs[i][0], lm.base + ivs[i][1])
         section = mod.section_at(off)
         if section is None or not section.executable:
             return None
-        in_section = [b for b in boundaries if section.contains(b)]
-        i = bisect_right(in_section, off)
-        lo = in_section[i - 1] if i > 0 else section.virtual_offset
-        hi = in_section[i] if i < len(in_section) else section.end
+        bounds = mod.granule_boundaries
+        i = bisect_right(bounds, off)
+        lo = max(bounds[i - 1], section.virtual_offset) if i else section.virtual_offset
+        hi = min(bounds[i], section.end) if i < len(bounds) else section.end
         return (lm.base + lo, lm.base + hi)
 
     # -- mutations ---------------------------------------------------------
@@ -274,9 +259,9 @@ class ProcessImage:
             raise ProcessError("overlapping-base",
                                f"{image.path} already loaded at {hex(base)}")
         lm = LoadedModule(module=image, base=base, imap=imap, module_id=module_id)
-        lo, hi = lm.span()
+        lo, hi = lm.span
         for other in self.loaded.values():
-            o_lo, o_hi = other.span()
+            o_lo, o_hi = other.span
             if lo < o_hi and o_lo < hi:
                 raise ProcessError(
                     "overlapping-base",
@@ -290,24 +275,25 @@ class ProcessImage:
         mod = lm.module
         # Functions defined in the module, callable from the module itself.
         if not mod.stripped:
-            for off in mod.defined_function_starts():
+            for off in mod.defined_function_starts:
                 if mod.in_executable_range(off):
                     self.table.add(lm.base + off, lm.module_id, PROV_LOCAL_SYMBOL)
         else:
             for off in lm.imap.offsets:
                 self.table.add(lm.base + off, lm.module_id, PROV_LOCAL_SYMBOL)
         # New module's exports, callable from every importer already loaded.
-        exports = [(r.name, r.value) for r in mod.export_records()
+        exports = [(r.name, r.value) for r in mod.export_records
                    if r.kind == "function" and mod.in_executable_range(r.value)]
         for other in self.loaded.values():
+            imported = set(other.module.imports)
             for name, off in exports:
-                if name in other.module.imports:
+                if name in imported:
                     self.table.add(lm.base + off, other.module_id,
                                    PROV_EXPORT_IMPORT)
         # New module's imports, resolved against every loaded exporter.
         wanted = set(mod.imports)
         for other in self.loaded.values():
-            for rec in other.module.export_records():
+            for rec in other.module.export_records:
                 if (rec.name in wanted and rec.kind == "function"
                         and other.module.in_executable_range(rec.value)):
                     self.table.add(other.base + rec.value, lm.module_id,
@@ -322,19 +308,21 @@ class ProcessImage:
         lm = self.loaded.get(module_id)
         if lm is None:
             raise ProcessError("unknown-module", f"not loaded: {module_id}")
-        lo, hi = lm.span()
+        lo, hi = lm.span
         del self.loaded[module_id]
         for target in self.table.targets():
             if lo <= target < hi:
                 self.table.discard_target(target)
             else:
                 self.table.discard_scope(target, module_id)
-        self.callback_findings = [
-            f for f in self.callback_findings
-            if f.source_module != module_id and not (lo <= f.address < hi)]
-        self.table.drop_provenance(PROV_CALLBACK)
+        kept = [f for f in self.callback_findings
+                if f.source_module != module_id and not (lo <= f.address < hi)]
+        # An address stays global while any surviving finding still names it.
+        named = {f.address for f in kept}
         for f in self.callback_findings:
-            self.table.add(f.address, GLOBAL_SCOPE, PROV_CALLBACK)
+            if f.address not in named:
+                self.table.discard_scope(f.address, GLOBAL_SCOPE)
+        self.callback_findings = kept
         self.plt_resolutions = {
             (mid, plt): tgt for (mid, plt), tgt in self.plt_resolutions.items()
             if mid != module_id and not (lo <= tgt < hi)}
@@ -399,14 +387,14 @@ class ProcessImage:
         for lm in self.loaded.values():
             mod = lm.module
             if not mod.stripped:
-                for off in mod.defined_function_starts():
+                for off in mod.defined_function_starts:
                     if mod.in_executable_range(off):
                         fresh.add(lm.base + off, lm.module_id, PROV_LOCAL_SYMBOL)
             else:
                 for off in lm.imap.offsets:
                     fresh.add(lm.base + off, lm.module_id, PROV_LOCAL_SYMBOL)
         for exporter in self.loaded.values():
-            exports = [(r.name, r.value) for r in exporter.module.export_records()
+            exports = [(r.name, r.value) for r in exporter.module.export_records
                        if r.kind == "function"
                        and exporter.module.in_executable_range(r.value)]
             for importer in self.loaded.values():

@@ -98,7 +98,8 @@ def parse_trace(source: str | bytes | list[str]) -> list[TraceEvent]:
         except UnicodeDecodeError as exc:
             raise TraceError("malformed-trace",
                              f"not UTF-8 text: {exc.reason}") from None
-    lines = source.splitlines() if isinstance(source, str) else list(source)
+    # Only "\n" ends a line: JSON allows U+2028 and friends raw in strings.
+    lines = source.split("\n") if isinstance(source, str) else list(source)
     events: list[TraceEvent] = []
     last_seq = 0
     for lineno, line in enumerate(lines, start=1):
@@ -572,7 +573,7 @@ def _mutated_target(kind: str, p: ProcessImage, src_mod, victim: TraceEvent) -> 
         # Any loaded function entry different from the true return address
         # stands in for a stack-sprayed value.
         for lm in p.loaded.values():
-            for off in sorted(lm.module.defined_function_starts()):
+            for off in sorted(lm.module.defined_function_starts):
                 cand = lm.base + off
                 if cand != victim.dst:
                     return cand
@@ -582,7 +583,7 @@ def _mutated_target(kind: str, p: ProcessImage, src_mod, victim: TraceEvent) -> 
         for lm in p.loaded.values():
             if lm.module_id == src_mod.module_id:
                 continue
-            for off in sorted(lm.module.defined_function_starts()):
+            for off in sorted(lm.module.defined_function_starts):
                 cand = lm.base + off
                 if lm.is_instruction(cand) and cand not in targets:
                     return cand
@@ -591,7 +592,7 @@ def _mutated_target(kind: str, p: ProcessImage, src_mod, victim: TraceEvent) -> 
 
     if kind == "jump":
         for lm in p.loaded.values():
-            for lo, hi in lm.exec_ranges():
+            for lo, hi in lm.exec_ranges:
                 for cand in lm.instructions_in(lo, hi):
                     if cand + 1 < hi and not lm.is_instruction(cand + 1):
                         return cand + 1
@@ -602,7 +603,7 @@ def _mutated_target(kind: str, p: ProcessImage, src_mod, victim: TraceEvent) -> 
         for lm in p.loaded.values():
             if lm.module_id == src_mod.module_id:
                 continue
-            for lo, hi in lm.exec_ranges():
+            for lo, hi in lm.exec_ranges:
                 for cand in lm.instructions_in(lo, hi):
                     if cand not in targets:
                         return cand

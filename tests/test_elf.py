@@ -55,7 +55,7 @@ def simple_spec(**kw) -> FixtureSpec:
 def test_minimal_export_round_trip():
     img = parse_module(build_fixture(simple_spec()), "libfoo.so")
     assert img.exports == ("foo",)
-    rec = img.export_records()[0]
+    rec = img.export_records[0]
     assert (rec.value, rec.size) == (0x1100, 0x20)
     assert not img.stripped
 
@@ -113,8 +113,8 @@ def test_relocation_round_trip_reads_inplace_addend():
 def test_executable_ranges_disjoint_and_code_present():
     spec = simple_spec(imports=("bar",), plt=("bar",))
     img = parse_module(build_fixture(spec), spec.path)
-    ranges = img.executable_ranges()
-    assert ranges == sorted(ranges)
+    ranges = img.executable_ranges
+    assert list(ranges) == sorted(ranges)
     for (a, b), (c, d) in zip(ranges, ranges[1:]):
         assert b <= c
     text = img.section(".text")

@@ -9,6 +9,8 @@ from strategies import (
     BASES,
     EXE_BASE,
     LIB_BASE,
+    GeneratedModule,
+    describe_module,
     imap_for,
     make_image,
     random_module_spec,
@@ -17,6 +19,7 @@ from strategies import (
 )
 
 from dyncfi import (
+    CallbackFinding,
     FixtureSpec,
     ProcessError,
     ProcessImage,
@@ -253,6 +256,52 @@ def test_extent_gap_fallback_in_nonstripped_module():
     assert (lo, hi) == (LIB_BASE + 0x1000, LIB_BASE + 0x1040)
 
 
+def overlapping_functions_spec(rng: random.Random) -> FixtureSpec:
+    """Functions that nest, overlap, share a start, have size 0 or leave
+    gaps, with an optional .plt as a second executable section."""
+    code_len = 0x100
+    symbols: list[SymbolSpec] = []
+    for j in range(rng.randint(1, 12)):
+        if symbols and rng.random() < 0.25:
+            value = rng.choice(symbols).value  # aliased start
+        else:
+            value = rng.randrange(0x1000, 0x1000 + code_len)
+        size = rng.choice([0, 0, rng.randint(1, 0x20), rng.randint(1, 0x80)])
+        size = min(size, 0x1000 + code_len - value)
+        exported = rng.random() < 0.5
+        binding = "global" if exported else rng.choice(["local", "global"])
+        symbols.append(SymbolSpec(f"f{j}", value, size, binding=binding,
+                                  exported=exported))
+    plt = ("ext",) if rng.random() < 0.5 else ()
+    return FixtureSpec(path="libnest.so", code=b"\x90" * code_len,
+                       symbols=tuple(symbols), imports=plt, plt=plt)
+
+
+def extents_match_oracle(spec: FixtureSpec, image) -> int:
+    """Assert engine == oracle extent at every executable address."""
+    p = ProcessImage()
+    lm = p.load_module(image, LIB_BASE, derive_instruction_map(image))
+    gm = GeneratedModule(spec=spec, image=image, base=LIB_BASE,
+                         with_sidecar=False, planted_callback_values=[])
+    desc = {"modules": [describe_module(gm, p)]}
+    addrs = [a for lo, hi in lm.exec_ranges for a in range(lo, hi)]
+    for addr in addrs:
+        assert p.function_extent(addr) == oracle.extent(desc, addr), (spec, hex(addr))
+    return len(addrs)
+
+
+def test_extent_matches_oracle_with_overlapping_functions():
+    rng = random.Random(0xE87E)
+    checked = 0
+    for _ in range(200):
+        spec = overlapping_functions_spec(rng)
+        full = make_image(spec)
+        checked += extents_match_oracle(spec, full)
+        # The twin is made after the full image's views were cached.
+        checked += extents_match_oracle(spec.stripped_twin(), full.stripped_twin())
+    assert checked > 50_000
+
+
 # ---------------------------------------------------------------------------
 # Incremental/rebuild equivalence over randomized sequences
 # ---------------------------------------------------------------------------
@@ -268,6 +317,24 @@ def test_incremental_table_equals_rebuild_over_random_sequences():
             p.unload_module(victim)
             assert p.table == p.rebuild_table()
         assert not p.check_table_targets_valid()
+
+
+def test_unload_keeps_callback_a_surviving_finding_names():
+    p, exe, lib = load_pair()
+    spec = FixtureSpec(path="libcb.so", code=b"\x90" * 0x40,
+                       symbols=(SymbolSpec("cb_user", 0x1000, 0x10),))
+    image = make_image(spec)
+    other = p.load_module(image, BASES[2], derive_instruction_map(image))
+    bar = LIB_BASE + 0x1040
+    p.admit_callbacks([CallbackFinding(bar, "data-scan", exe.module_id),
+                       CallbackFinding(bar, "data-scan", other.module_id)])
+    p.unload_module(other.module_id)
+    assert "*" in p.table.scopes(bar)
+    assert p.table == p.rebuild_table()
+    p.unload_module(exe.module_id)
+    assert "*" not in p.table.scopes(bar)
+    assert bar not in p.callback_set
+    assert p.table == p.rebuild_table()
 
 
 def test_load_unload_inverse_over_random_modules():

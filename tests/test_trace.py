@@ -47,10 +47,14 @@ def clean_events():
 # parse_trace
 # ---------------------------------------------------------------------------
 
-def test_parse_load_event_line():
+# JSON allows U+2028, U+2029 and U+0085 raw inside strings; they do not
+# end a line.
+@pytest.mark.parametrize("path", ["libfoo.so", "lib\u2028foo\u2029\u0085.so"],
+                         ids=["plain", "raw-line-separators"])
+def test_parse_load_event_line(path):
     events = parse_trace(
-        '{"seq":1,"tid":0,"kind":"load","path":"libfoo.so","base":"0x8048000"}')
-    assert events == [TraceEvent(seq=1, tid=0, kind="load", path="libfoo.so",
+        '{"seq":1,"tid":0,"kind":"load","path":"' + path + '","base":"0x8048000"}')
+    assert events == [TraceEvent(seq=1, tid=0, kind="load", path=path,
                                  base=0x8048000)]
 
 
