@@ -112,11 +112,13 @@ def _read_text(path: str) -> str:
 
 def _load_allowlist(path: str) -> frozenset[tuple[str, str]]:
     pairs = set()
-    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
+    # Only "\n" ends a line, and the symbol is the last field, so a module
+    # path may hold U+2028 and friends (str.split breaks at those too).
+    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split()
+        parts = line.rsplit(None, 1)
         if len(parts) != 2:
             raise DynCfiError("malformed-allowlist",
                               f"{path}:{lineno}: expected '<module> <symbol>'")

@@ -207,6 +207,18 @@ class ModuleImage:
         return frozenset(s.value for s in self.symbols if s.kind == "function")
 
     @cached_property
+    def exec_function_starts(self) -> frozenset[int]:
+        """Known function starts that lie in an executable section."""
+        return frozenset(off for off in self.defined_function_starts
+                         if self.in_executable_range(off))
+
+    @cached_property
+    def exec_function_exports(self) -> tuple[tuple[str, int], ...]:
+        """(name, offset) of exported functions in executable sections."""
+        return tuple((r.name, r.value) for r in self.export_records
+                     if r.kind == "function" and self.in_executable_range(r.value))
+
+    @cached_property
     def granule_boundaries(self) -> tuple[int, ...]:
         """Sorted granule-carving starts: all known, or exported if stripped."""
         return tuple(sorted(self.export_function_starts if self.stripped
@@ -388,8 +400,10 @@ def _parse(data: bytes, path: str, *, is64: bool) -> ModuleImage:
             return section_bytes(headers[idx], names[idx] or ".strtab")
         return b""
 
-    def read_symbols(table_idx: int, origin: str) -> tuple[list[SymbolRecord], list[str], list[str]]:
-        """Returns (defined records, import names, raw name order)."""
+    def read_symbols(table_idx: int, origin: str
+                     ) -> tuple[list[SymbolRecord], list[str], list[str], list[str]]:
+        """Returns (defined records, import names, export name order,
+        every entry's name by symbol index)."""
         h = headers[table_idx]
         strtab = strtab_for(h["link"])
         raw = section_bytes(h, names[table_idx])
@@ -397,6 +411,7 @@ def _parse(data: bytes, path: str, *, is64: bool) -> ModuleImage:
         records: list[SymbolRecord] = []
         und: list[str] = []
         order: list[str] = []
+        by_index: list[str] = [""]
         for i in range(1, count):  # entry 0 is the null symbol
             f = struct.unpack_from(sym_fmt, raw, i * sym_size)
             if is64:
@@ -404,6 +419,7 @@ def _parse(data: bytes, path: str, *, is64: bool) -> ModuleImage:
             else:
                 st_name, st_value, st_size, st_info, _other, st_shndx = f
             name = _cstr(strtab, st_name)
+            by_index.append(name)
             st_type = st_info & 0xF
             st_bind = (st_info >> 4) & 0xF
             if st_type in (STT_SECTION, STT_FILE) or not name:
@@ -425,36 +441,25 @@ def _parse(data: bytes, path: str, *, is64: bool) -> ModuleImage:
             ))
             if exported:
                 order.append(name)
-        return records, und, order
+        return records, und, order, by_index
 
     symbols: list[SymbolRecord] = []
     imports: list[str] = []
     exports: list[str] = []
-    dynsym_idx = None
+    dyn_names: list[str] = [""]  # relocation symbol lookup, by index
     for i, h in enumerate(headers):
         if h["type"] == SHT_DYNSYM:
-            dynsym_idx = i
-            recs, und, order = read_symbols(i, "dynsym")
+            recs, und, order, dyn_names = read_symbols(i, "dynsym")
             symbols.extend(recs)
             imports.extend(und)
             exports.extend(order)
     has_symtab_records = False
     for i, h in enumerate(headers):
         if h["type"] == SHT_SYMTAB:
-            recs, _und, _order = read_symbols(i, "symtab")
+            recs, _und, _order, _names = read_symbols(i, "symtab")
             if recs:
                 has_symtab_records = True
             symbols.extend(recs)
-
-    # Dynamic symbol names, for relocation symbol lookup
-    dyn_names: list[str] = [""]
-    if dynsym_idx is not None:
-        h = headers[dynsym_idx]
-        strtab = strtab_for(h["link"])
-        raw = section_bytes(h, ".dynsym")
-        for i in range(1, len(raw) // sym_size):
-            f = struct.unpack_from(sym_fmt, raw, i * sym_size)
-            dyn_names.append(_cstr(strtab, f[0]))
 
     def word_at_vaddr(vaddr: int) -> int:
         for s in sections:
@@ -919,7 +924,8 @@ class SidecarTable:
 
 def load_sidecar(text: str) -> SidecarTable:
     table: dict[str, list[int]] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # Only "\n" ends a line: a module path may hold U+2028 and friends.
+    for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

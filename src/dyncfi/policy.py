@@ -27,14 +27,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from .process import (
-    GLOBAL_SCOPE,
-    PROV_EXPORT_IMPORT,
-    PROV_LOCAL_SYMBOL,
-    CallbackFinding,
-    LoadedModule,
-    ProcessImage,
-)
+from .process import CallbackFinding, LoadedModule, ProcessImage
 
 ALLOW = "allow"
 DENY = "deny"
@@ -141,16 +134,15 @@ def check_call(p: ProcessImage, cache: FastPathCache | None,
 def _allow_rule(p: ProcessImage, src_mod: LoadedModule,
                 dst_mod: LoadedModule, dst: int) -> tuple[str, str]:
     """Name the rule admitting dst; local beats import beats callback."""
-    scopes = p.table.scopes(dst)
-    own = scopes.get(src_mod.module_id, set())
-    if PROV_LOCAL_SYMBOL in own and dst_mod.module_id == src_mod.module_id:
+    table, scope = p.table, src_mod.module_id
+    if dst in table.local[scope] and dst_mod.module_id == scope:
         how = ("section-granularity target" if src_mod.module.stripped
                else "function defined in module")
         return RULE_CALL_LOCAL, f"{how} at {hex(dst)}"
-    if PROV_EXPORT_IMPORT in own:
+    if dst in table.imported[scope]:
         return RULE_CALL_IMPORT, (
             f"imported export of {dst_mod.module_id} at {hex(dst)}")
-    if GLOBAL_SCOPE in scopes:
+    if dst in table.callbacks:
         return RULE_CALLBACK, f"callback address {hex(dst)}"
     return RULE_CALL_IMPORT, f"allowlisted target {hex(dst)}"
 

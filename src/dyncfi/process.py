@@ -2,19 +2,21 @@
 
 The :class:`ProcessImage` tracks which modules are mapped where, resolves
 imports against exporters in load order, and maintains the
-:class:`TransferLookupTable` incrementally on load/unload.  The table maps
-absolute call-target addresses to the set of source scopes allowed to
-transfer there; a scope is a loaded-module id, or ``"*"`` for targets
-admitted by callback heuristics (valid from any module).
+:class:`TransferLookupTable` incrementally on load/unload.  The table holds
+the absolute call targets each source module M may reach, by grant kind:
 
-Target-set construction per source module M:
-    - functions defined in M: every known function start if M is not
-      stripped; with a stripped module only instruction-level knowledge
-      remains, so any known-valid instruction in M's executable sections
-      is admitted (verification coarsens to section/export granularity),
-    - exported functions of any loaded module whose name M imports,
-    - heuristically admitted callback addresses (any scope),
-    - configured allowlist entries (extra (module, symbol) grants).
+    - ``local[M]``: functions defined in M: every known function start if
+      M is not stripped; with a stripped module only instruction-level
+      knowledge remains, so any known-valid instruction in M's executable
+      sections is admitted (verification coarsens to section/export
+      granularity),
+    - ``imported[M]``: exported functions of any loaded module whose name
+      M imports,
+    - ``callbacks``: heuristically admitted callback addresses, valid from
+      every module (scope ``"*"`` in snapshots).
+
+Configured allowlist entries (extra (module, symbol) grants) are added on
+top when a module's call-target set is computed.
 
 Mutations are serialized by the caller; every mutation bumps ``epoch`` so
 downstream caches can invalidate.  Module views (ranges, sorted function
@@ -32,10 +34,6 @@ from .errors import ProcessError, ResolutionError
 
 PAGE_SIZE = 4096
 GLOBAL_SCOPE = "*"
-
-PROV_EXPORT_IMPORT = "export-import"
-PROV_LOCAL_SYMBOL = "local-symbol"
-PROV_CALLBACK = "callback-heuristic"
 
 
 @dataclass(frozen=True)
@@ -90,39 +88,35 @@ class CallbackFinding:
 
 
 class TransferLookupTable:
-    """Absolute target address -> {source scope -> provenance set}."""
+    """Call grants per source scope, one container per grant kind.
+
+    ``local`` and ``imported`` map a loaded-module id to the absolute
+    targets it may call; ``callbacks`` holds the heuristically admitted
+    targets, callable from every scope.
+    """
 
     def __init__(self) -> None:
-        self._targets: dict[int, dict[str, set[str]]] = {}
+        self.local: dict[str, set[int]] = {}
+        self.imported: dict[str, set[int]] = {}
+        self.callbacks: set[int] = set()
 
-    def add(self, target: int, scope: str, provenance: str) -> None:
-        self._targets.setdefault(target, {}).setdefault(scope, set()).add(provenance)
-
-    def discard_scope(self, target: int, scope: str) -> None:
-        scopes = self._targets.get(target)
-        if scopes is None:
-            return
-        scopes.pop(scope, None)
-        if not scopes:
-            del self._targets[target]
-
-    def discard_target(self, target: int) -> None:
-        self._targets.pop(target, None)
-
-    def scopes(self, target: int) -> dict[str, set[str]]:
-        return self._targets.get(target, {})
+    def scopes(self, target: int) -> dict[str, tuple[str, ...]]:
+        return self.snapshot().get(target, {})
 
     def targets_for(self, scope: str) -> set[int]:
-        return {t for t, scopes in self._targets.items()
-                if scope in scopes or GLOBAL_SCOPE in scopes}
-
-    def targets(self) -> list[int]:
-        return sorted(self._targets)
+        return (self.local.get(scope, set()) | self.imported.get(scope, set())
+                | self.callbacks)
 
     def snapshot(self) -> dict[int, dict[str, tuple[str, ...]]]:
-        """Canonical, comparable copy."""
-        return {t: {s: tuple(sorted(p)) for s, p in scopes.items()}
-                for t, scopes in self._targets.items()}
+        """Canonical, comparable copy: target -> {scope -> grant kinds}."""
+        out: dict[int, dict[str, tuple[str, ...]]] = {}
+        for kind, by_scope in (("imported", self.imported), ("local", self.local),
+                               ("callbacks", {GLOBAL_SCOPE: self.callbacks})):
+            for scope, targets in by_scope.items():
+                for t in targets:
+                    kinds = out.setdefault(t, {})
+                    kinds[scope] = kinds.get(scope, ()) + (kind,)
+        return out
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TransferLookupTable):
@@ -130,7 +124,8 @@ class TransferLookupTable:
         return self.snapshot() == other.snapshot()
 
     def __len__(self) -> int:
-        return len(self._targets)
+        return len(self.callbacks.union(*self.local.values(),
+                                        *self.imported.values()))
 
 
 class ProcessImage:
@@ -272,32 +267,21 @@ class ProcessImage:
         return lm
 
     def _extend_table_for(self, lm: LoadedModule) -> None:
-        mod = lm.module
+        mod, table = lm.module, self.table
         # Functions defined in the module, callable from the module itself.
-        if not mod.stripped:
-            for off in mod.defined_function_starts:
-                if mod.in_executable_range(off):
-                    self.table.add(lm.base + off, lm.module_id, PROV_LOCAL_SYMBOL)
-        else:
-            for off in lm.imap.offsets:
-                self.table.add(lm.base + off, lm.module_id, PROV_LOCAL_SYMBOL)
-        # New module's exports, callable from every importer already loaded.
-        exports = [(r.name, r.value) for r in mod.export_records
-                   if r.kind == "function" and mod.in_executable_range(r.value)]
-        for other in self.loaded.values():
-            imported = set(other.module.imports)
-            for name, off in exports:
-                if name in imported:
-                    self.table.add(lm.base + off, other.module_id,
-                                   PROV_EXPORT_IMPORT)
+        offsets = lm.imap.offsets if mod.stripped else mod.exec_function_starts
+        table.local[lm.module_id] = {lm.base + off for off in offsets}
         # New module's imports, resolved against every loaded exporter.
         wanted = set(mod.imports)
+        table.imported[lm.module_id] = {
+            other.base + off for other in self.loaded.values()
+            for name, off in other.module.exec_function_exports if name in wanted}
+        # New module's exports, callable from every importer already loaded.
         for other in self.loaded.values():
-            for rec in other.module.export_records:
-                if (rec.name in wanted and rec.kind == "function"
-                        and other.module.in_executable_range(rec.value)):
-                    self.table.add(other.base + rec.value, lm.module_id,
-                                   PROV_EXPORT_IMPORT)
+            imported = set(other.module.imports)
+            table.imported[other.module_id].update(
+                lm.base + off for name, off in mod.exec_function_exports
+                if name in imported)
 
     def unload_module(self, module_id: str) -> None:
         """Remove a module, revoking every binding to or from it.
@@ -310,19 +294,16 @@ class ProcessImage:
             raise ProcessError("unknown-module", f"not loaded: {module_id}")
         lo, hi = lm.span
         del self.loaded[module_id]
-        for target in self.table.targets():
-            if lo <= target < hi:
-                self.table.discard_target(target)
-            else:
-                self.table.discard_scope(target, module_id)
-        kept = [f for f in self.callback_findings
-                if f.source_module != module_id and not (lo <= f.address < hi)]
-        # An address stays global while any surviving finding still names it.
-        named = {f.address for f in kept}
-        for f in self.callback_findings:
-            if f.address not in named:
-                self.table.discard_scope(f.address, GLOBAL_SCOPE)
-        self.callback_findings = kept
+        table = self.table
+        table.local.pop(module_id)
+        table.imported.pop(module_id)
+        for targets in table.imported.values():
+            targets.difference_update([t for t in targets if lo <= t < hi])
+        self.callback_findings = [
+            f for f in self.callback_findings
+            if f.source_module != module_id and not (lo <= f.address < hi)]
+        # An address stays a callback while any surviving finding names it.
+        table.callbacks = {f.address for f in self.callback_findings}
         self.plt_resolutions = {
             (mid, plt): tgt for (mid, plt), tgt in self.plt_resolutions.items()
             if mid != module_id and not (lo <= tgt < hi)}
@@ -342,7 +323,7 @@ class ProcessImage:
                 continue
             known.add(key)
             self.callback_findings.append(f)
-            self.table.add(f.address, GLOBAL_SCOPE, PROV_CALLBACK)
+            self.table.callbacks.add(f.address)
             added += 1
         if added:
             self.epoch += 1
@@ -387,28 +368,26 @@ class ProcessImage:
         for lm in self.loaded.values():
             mod = lm.module
             if not mod.stripped:
-                for off in mod.defined_function_starts:
-                    if mod.in_executable_range(off):
-                        fresh.add(lm.base + off, lm.module_id, PROV_LOCAL_SYMBOL)
+                fresh.local[lm.module_id] = {
+                    lm.base + off for off in mod.defined_function_starts
+                    if mod.in_executable_range(off)}
             else:
-                for off in lm.imap.offsets:
-                    fresh.add(lm.base + off, lm.module_id, PROV_LOCAL_SYMBOL)
-        for exporter in self.loaded.values():
-            exports = [(r.name, r.value) for r in exporter.module.export_records
-                       if r.kind == "function"
-                       and exporter.module.in_executable_range(r.value)]
-            for importer in self.loaded.values():
-                for name, off in exports:
-                    if name in importer.module.imports:
-                        fresh.add(exporter.base + off, importer.module_id,
-                                  PROV_EXPORT_IMPORT)
-        for f in self.callback_findings:
-            fresh.add(f.address, GLOBAL_SCOPE, PROV_CALLBACK)
+                fresh.local[lm.module_id] = {lm.base + off
+                                             for off in lm.imap.offsets}
+        for importer in self.loaded.values():
+            fresh.imported[importer.module_id] = {
+                exporter.base + r.value
+                for exporter in self.loaded.values()
+                for r in exporter.module.export_records
+                if r.kind == "function" and r.name in importer.module.imports
+                and exporter.module.in_executable_range(r.value)}
+        fresh.callbacks = {f.address for f in self.callback_findings}
         return fresh
 
     def check_table_targets_valid(self) -> list[int]:
         """Table targets that are not valid instruction starts (should be [])."""
-        return [t for t in self.table.targets() if not self.is_instruction(t)]
+        return [t for t in sorted(self.table.snapshot())
+                if not self.is_instruction(t)]
 
     def snapshot_dict(self) -> dict:
         """Diagnostic dump of the current image."""

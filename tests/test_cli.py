@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from dyncfi.cli import main
+from dyncfi.cli import _load_allowlist, main
 
 SPEC_JSON = {
     "modules": [
@@ -176,6 +176,16 @@ def test_allowlist_flag(workspace: Path):
     (workspace / "allow.txt").write_text("app bar\n")
     assert run_check(workspace, "t2.jsonl",
                      "--allowlist", str(workspace / "allow.txt")) == 0
+
+
+# Only "\n" ends an allowlist line, and the symbol is the last field, so a
+# module key may hold U+2028 and friends.
+@pytest.mark.parametrize("module", ["app", "lib\u2028app\u2029\u0085.so"],
+                         ids=["plain", "raw-line-separators"])
+def test_allowlist_module_line_separators(tmp_path: Path, module):
+    (tmp_path / "allow.txt").write_text(f"# grants\n{module} bar\n",
+                                        encoding="utf-8")
+    assert _load_allowlist(str(tmp_path / "allow.txt")) == {(module, "bar")}
 
 
 def test_mutate_without_eligible_event_exit_2(workspace: Path):

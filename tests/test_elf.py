@@ -349,6 +349,14 @@ def test_sidecar_ignores_comments_and_blank_lines():
     assert table.offsets_for("libfoo.so") == (0x1100, 0x1104)
 
 
+# Only "\n" ends a sidecar line, so a path may hold U+2028 and friends.
+@pytest.mark.parametrize("path", ["libfoo.so", "lib\u2028foo\u2029\u0085.so"],
+                         ids=["plain", "raw-line-separators"])
+def test_sidecar_path_line_separators(path):
+    table = load_sidecar(f"{path} 0x1100\n{path} 0x1104\n")
+    assert table.offsets_for(path) == (0x1100, 0x1104)
+
+
 def test_sidecar_lines_round_trip():
     spec = simple_spec(instruction_offsets=(0x1104, 0x1109))
     table = load_sidecar("\n".join(sidecar_lines(spec)))

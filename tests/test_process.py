@@ -311,12 +311,36 @@ def test_incremental_table_equals_rebuild_over_random_sequences():
     for _ in range(60):
         p, desc, generated = random_process(rng, max_modules=3)
         assert p.table == p.rebuild_table()
+        assert len(p.table) == len(p.rebuild_table()) == len(p.table.snapshot())
         # unload a random module, table still equals rebuild
         if p.loaded:
             victim = rng.choice(sorted(p.loaded))
             p.unload_module(victim)
             assert p.table == p.rebuild_table()
+            assert len(p.table) == len(p.rebuild_table()) == len(p.table.snapshot())
         assert not p.check_table_targets_valid()
+
+
+def test_call_target_sets_match_oracle_after_each_unload():
+    """Each cached per-module target set tracks unloads (oracle check)."""
+    rng = random.Random(0xD1CE)
+    for _ in range(40):
+        p, desc, generated = random_process(rng, max_modules=4)
+        surviving = list(generated)
+        while surviving:
+            for m in desc["modules"]:  # fills the per-epoch cache
+                assert p.call_target_set(m["id"]) == oracle.call_targets(desc, m["id"])
+            victim = surviving.pop(rng.randrange(len(surviving)))
+            victim_id = f"{victim.path}@{victim.base:#x}"
+            p.unload_module(victim_id)
+            modules = [m for m in desc["modules"] if m["id"] != victim_id]
+            desc = dict(desc, modules=modules)
+            # A planted pointer survives while its scanner and its target do.
+            desc["callbacks"] = sorted(
+                {v for gm in surviving for v in gm.planted_callback_values
+                 if oracle.module_of(desc, v) is not None})
+            for m in modules:
+                assert p.call_target_set(m["id"]) == oracle.call_targets(desc, m["id"])
 
 
 def test_unload_keeps_callback_a_surviving_finding_names():
