@@ -4,12 +4,15 @@ For every executed indirect transfer j the policy admits a target set of
 size ``|T_j|`` out of a universe of ``S_j`` possible targets; the running
 metric at time t is the mean of ``1 - |T_j|/S_j`` over the transfers seen
 so far.  The universe is sampled at each transfer's epoch since modules
-may load and unload mid-trace.
+may load and unload mid-trace.  Only the per-transfer records are stored;
+the running series and the per-kind values are derived from them on
+demand.
 """
 
 from __future__ import annotations
 
 import io
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import MetricError
@@ -24,9 +27,8 @@ UNIVERSE_EXEC_BYTES = "exec-bytes"
 UNIVERSE_VALID_INSTRUCTIONS = "valid-instructions"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransferRecord:
-    index: int
     kind: str
     allowed: int      # |T_j|
     universe: int     # S at this transfer's epoch
@@ -34,15 +36,10 @@ class TransferRecord:
 
 
 class DairTracker:
-    """Accumulates transfer records and the running metric series."""
+    """Stores one record per indirect transfer; every metric derives from them."""
 
     def __init__(self) -> None:
         self.records: list[TransferRecord] = []
-        self._sum = 0.0
-        self._kind_sum: dict[str, float] = {k: 0.0 for k in TRANSFER_KINDS}
-        self._kind_n: dict[str, int] = {k: 0 for k in TRANSFER_KINDS}
-        # (seq, running total, {kind: running per-kind value or None})
-        self.series: list[tuple[int, float, dict[str, float | None]]] = []
 
     @property
     def n(self) -> int:
@@ -59,43 +56,63 @@ class DairTracker:
         if kind not in TRANSFER_KINDS:
             raise MetricError("invalid-universe",
                               f"unknown transfer kind {kind!r}")
-        rec = TransferRecord(index=len(self.records) + 1, kind=kind,
-                             allowed=allowed, universe=universe, seq=seq)
-        self.records.append(rec)
-        term = 1.0 - allowed / universe
-        self._sum += term
-        self._kind_sum[kind] += term
-        self._kind_n[kind] += 1
-        self.series.append((seq, self.total(), self.per_kind()))
+        self.records.append(TransferRecord(kind, allowed, universe, seq))
+
+    def _running(self) -> Iterator[tuple[int, float, dict[str, float],
+                                         dict[str, int]]]:
+        """After each record: its seq, the running total, and the per-kind
+        sums and counts (two dicts, updated in place).
+
+        Terms are added in record order, so each value has the exact bits
+        of a left-to-right float sum over the prefix.
+        """
+        acc = 0.0
+        kind_sum = dict.fromkeys(TRANSFER_KINDS, 0.0)
+        kind_n = dict.fromkeys(TRANSFER_KINDS, 0)
+        for n, rec in enumerate(self.records, start=1):
+            term = 1.0 - rec.allowed / rec.universe
+            acc += term
+            kind_sum[rec.kind] += term
+            kind_n[rec.kind] += 1
+            yield rec.seq, acc / n, kind_sum, kind_n
+
+    def _final(self) -> tuple[float | None, dict[str, float], dict[str, int]]:
+        """Total (None when nothing ran), kind sums and counts at the end."""
+        total = None
+        kind_sum = dict.fromkeys(TRANSFER_KINDS, 0.0)
+        kind_n = dict.fromkeys(TRANSFER_KINDS, 0)
+        for _seq, total, kind_sum, kind_n in self._running():
+            pass
+        return total, kind_sum, kind_n
 
     def total(self) -> float:
-        if not self.records:
+        total = self._final()[0]
+        if total is None:
             raise MetricError("no-transfers", "no indirect transfers recorded")
-        return self._sum / len(self.records)
+        return total
 
     def per_kind(self) -> dict[str, float | None]:
-        return {k: (self._kind_sum[k] / self._kind_n[k] if self._kind_n[k] else None)
-                for k in TRANSFER_KINDS}
+        return _means(*self._final()[1:])
 
     def kind_counts(self) -> dict[str, int]:
-        return dict(self._kind_n)
+        return self._final()[2]
 
     def finalize(self) -> dict:
         """Summary with percentage formatting; raises when nothing ran."""
         if not self.records:
             raise MetricError("no-transfers", "no indirect transfers recorded")
-        total = self.total()
-        per_kind = self.per_kind()
+        series = []
+        for seq, total, kind_sum, kind_n in self._running():
+            series.append([seq, total])
         return {
             "n": self.n,
             "total": total,
             "total_pct": _pct(total),
             "per_kind": {
-                k: {"n": self._kind_n[k], "value": v,
-                    "pct": _pct(v) if v is not None else None}
-                for k, v in per_kind.items() if self._kind_n[k]
+                k: {"n": kind_n[k], "value": v, "pct": _pct(v)}
+                for k, v in _means(kind_sum, kind_n).items() if kind_n[k]
             },
-            "series": [[seq, total_] for seq, total_, _kinds in self.series],
+            "series": series,
         }
 
     def to_report_dict(self) -> dict:
@@ -111,13 +128,18 @@ class DairTracker:
         """CSV of the running series: seq,dair_total,dair_call,dair_jump,dair_ret."""
         buf = io.StringIO()
         buf.write("seq,dair_total,dair_call,dair_jump,dair_ret\n")
-        for seq, total, kinds in self.series:
+        for seq, total, kind_sum, kind_n in self._running():
             cells = [str(seq), f"{total:.12g}"]
-            for kind in TRANSFER_KINDS:
-                v = kinds[kind]
+            for v in _means(kind_sum, kind_n).values():
                 cells.append("" if v is None else f"{v:.12g}")
             buf.write(",".join(cells) + "\n")
         return buf.getvalue()
+
+
+def _means(kind_sum: dict[str, float],
+           kind_n: dict[str, int]) -> dict[str, float | None]:
+    return {k: kind_sum[k] / kind_n[k] if kind_n[k] else None
+            for k in TRANSFER_KINDS}
 
 
 def _pct(value: float) -> str:

@@ -48,7 +48,7 @@ PATTERN_RELATIVE_RELOC = "relative-relocation"
 PATTERN_DATA_SCAN = "data-scan"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verdict:
     decision: str
     rule: str

@@ -78,7 +78,7 @@ class LoadedModule:
                 for off in self.imap.offsets_in(lo - self.base, hi - self.base)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CallbackFinding:
     """A code pointer admitted by a scan heuristic."""
 
@@ -142,10 +142,6 @@ class ProcessImage:
         self._target_cache_epoch = -1
 
     # -- queries ---------------------------------------------------------
-
-    @property
-    def callback_set(self) -> set[int]:
-        return {f.address for f in self.callback_findings}
 
     def exec_module_at(self, addr: int) -> LoadedModule | None:
         for lm in self.loaded.values():
@@ -399,7 +395,7 @@ class ProcessImage:
                  "imports": self.import_resolutions(lm.module_id)}
                 for lm in self.loaded.values()
             ],
-            "callback_set": sorted(hex(a) for a in self.callback_set),
+            "callback_set": sorted(hex(a) for a in self.table.callbacks),
             "plt_resolutions": {
                 f"{mid}+{hex(plt)}": hex(tgt)
                 for (mid, plt), tgt in sorted(self.plt_resolutions.items())},

@@ -18,7 +18,7 @@ from .policy import ALLOW, DENY, RULE_RETURN_SHADOW, Verdict
 DEFAULT_MAX_DEPTH = 1_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ShadowFrame:
     return_address: int
     call_site: int

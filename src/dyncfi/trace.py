@@ -63,7 +63,7 @@ RULE_UNWIND_MISS = "unwind-miss"
 RULE_UNWIND = "exception-unwind"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEvent:
     seq: int
     tid: int
@@ -194,7 +194,7 @@ class ReplayConfig:
     module_root: Path | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EventVerdict:
     seq: int
     kind: str
@@ -212,12 +212,21 @@ class EventVerdict:
 @dataclass
 class EnforcementReport:
     verdicts: list[EventVerdict] = field(default_factory=list)
-    violations: list[dict] = field(default_factory=list)
     dair: DairTracker = field(default_factory=DairTracker)
     epochs: list[dict] = field(default_factory=list)
     kind_counts: dict = field(default_factory=dict)
-    events_processed: int = 0
     aborted_at: int | None = None
+
+    @property
+    def violations(self) -> list[dict]:
+        """One entry per DENY verdict, in event order."""
+        return [{"seq": v.seq, "kind": v.kind, "rule": v.rule,
+                 "detail": v.reason}
+                for v in self.verdicts if v.decision == DENY]
+
+    @property
+    def events_processed(self) -> int:
+        return sum(self.kind_counts.values())
 
     @property
     def denies(self) -> int:
@@ -232,20 +241,21 @@ class EnforcementReport:
         return self.denies == 0
 
     def to_dict(self) -> dict:
+        violations = self.violations
         return {
             "summary": {
                 "events": self.events_processed,
                 "per_kind": dict(sorted(self.kind_counts.items())),
-                "allows": self.allows,
-                "denies": self.denies,
+                "allows": len(self.verdicts) - len(violations),
+                "denies": len(violations),
                 "outcome": {
-                    "clean": self.clean,
-                    "violations": len(self.violations),
+                    "clean": not violations,
+                    "violations": len(violations),
                     "aborted_at": self.aborted_at,
                 },
                 "verdicts": [v.to_obj() for v in self.verdicts],
             },
-            "violations": self.violations,
+            "violations": violations,
             "dair": self.dair.to_report_dict(),
             "epochs": self.epochs,
         }
@@ -332,9 +342,8 @@ class Replayer:
         report = EnforcementReport()
         for event in events:
             self._apply(event, report)
-            report.events_processed += 1
             report.kind_counts[event.kind] = report.kind_counts.get(event.kind, 0) + 1
-            if self.config.abort_on_violation and report.aborted_at is not None:
+            if report.aborted_at is not None:
                 break
         return report
 
@@ -352,13 +361,9 @@ class Replayer:
             seq=event.seq, kind=event.kind, decision=verdict.decision,
             rule=verdict.rule, target_set_size=verdict.target_set_size,
             reason=verdict.reason))
-        if verdict.decision == DENY:
-            report.violations.append({
-                "seq": event.seq, "kind": event.kind, "rule": verdict.rule,
-                "detail": verdict.reason,
-            })
-            if report.aborted_at is None and self.config.abort_on_violation:
-                report.aborted_at = event.seq
+        if (verdict.decision == DENY and report.aborted_at is None
+                and self.config.abort_on_violation):
+            report.aborted_at = event.seq
 
     def _apply(self, event: TraceEvent, report: EnforcementReport) -> None:
         kind = event.kind
@@ -405,58 +410,34 @@ class Replayer:
                     f"no shadow frame matches {hex(event.target)}", 1))
             return
 
-        # Transfer events
+        # Transfer events: indirect ones are checked at every occurrence,
+        # direct ones once per (kind, src, dst) per epoch.
         src_mod = self._require_mapped(event.src, f"{kind} source", event.seq)
-
         if kind == "return":
             verdict = self._shadow(event.tid).pop_and_check(event.dst)
-            self._record(report, event, verdict)
-            self.dair_record(report, "return", 1, event.seq)
-            return
-
-        if kind == "indirect-call":
+        elif kind == "indirect-call":
             verdict = check_call(p, self.cache, event.src, event.dst)
-            self._record(report, event, verdict)
-            self.dair_record(report, "indirect-call", verdict.target_set_size,
-                             event.seq)
-            self._shadow(event.tid).push_call(event.src, event.src + event.length)
-            return
-
-        if kind == "indirect-jump":
+        elif kind == "indirect-jump":
             verdict = check_jump(p, event.src, event.dst)
-            self._record(report, event, verdict)
-            self.dair_record(report, "indirect-jump", verdict.target_set_size,
-                             event.seq)
-            return
-
-        if kind == "direct-call":
+        else:
             memo = self._directs()
-            key = ("call", event.src, event.dst)
-            if key not in memo:
-                memo[key] = check_call(p, None, event.src, event.dst)
-            self._record(report, event, memo[key])
+            key = (kind, event.src, event.dst)
+            verdict = memo.get(key)
+            if verdict is None:
+                if kind == "direct-call":
+                    verdict = check_call(p, None, event.src, event.dst)
+                elif kind == "direct-jump":
+                    verdict = check_jump(p, event.src, event.dst)
+                else:
+                    verdict = self._check_plt_call(src_mod.module_id, event)
+                memo[key] = verdict
+        self._record(report, event, verdict)
+        if kind in dair_mod.TRANSFER_KINDS:
+            # A return's target-set size is 1: its shadow frame.
+            report.dair.record_transfer(kind, verdict.target_set_size,
+                                        self._universe(), event.seq)
+        if kind in CALL_KINDS:
             self._shadow(event.tid).push_call(event.src, event.src + event.length)
-            return
-
-        if kind == "direct-jump":
-            memo = self._directs()
-            key = ("jump", event.src, event.dst)
-            if key not in memo:
-                memo[key] = check_jump(p, event.src, event.dst)
-            self._record(report, event, memo[key])
-            return
-
-        if kind == "plt-call":
-            memo = self._directs()
-            key = ("plt", event.src, event.dst)
-            if key not in memo:
-                memo[key] = self._check_plt_call(src_mod.module_id, event)
-            self._record(report, event, memo[key])
-            self._shadow(event.tid).push_call(event.src, event.src + event.length)
-            return
-
-        raise TraceError("malformed-trace", f"unhandled kind {kind!r}",
-                         seq=event.seq)  # pragma: no cover
 
     def _check_plt_call(self, module_id: str, event: TraceEvent) -> Verdict:
         p = self.process
@@ -477,10 +458,6 @@ class Replayer:
                            f"PLT entry {hex(event.dst)} inlined to "
                            f"{hex(target)}", verdict.target_set_size)
         return verdict
-
-    def dair_record(self, report: EnforcementReport, kind: str, size: int,
-                    seq: int) -> None:
-        report.dair.record_transfer(kind, size, self._universe(), seq)
 
 
 def replay(events: list[TraceEvent], config: ReplayConfig | None = None,
@@ -531,8 +508,8 @@ def generate_adversarial_trace(
     if mutation.kind not in MUTATION_CLASSES:
         raise MutationError("mutation-out-of-range",
                             f"unknown mutation class {mutation.kind!r}")
-    base_report = replay(events, config, modules)
-    if not base_report.clean:
+    base = Replayer(config, modules)
+    if not base.replay(events).clean:
         raise MutationError("mutation-out-of-range",
                             "base trace is not clean")
 
@@ -547,10 +524,13 @@ def generate_adversarial_trace(
             + (f" with seq {mutation.event_seq}" if mutation.event_seq else ""))
 
     last_error: MutationError | None = None
+    # One prefix replay, advanced to the state just before each candidate;
+    # it reuses the module images the base replay parsed.
+    pre = Replayer(config, base.modules)
+    done = 0
     for idx in candidates:
-        # State snapshot just before the candidate event.
-        pre = Replayer(config, modules)
-        pre.replay(events[:idx])
+        pre.replay(events[done:idx])
+        done = idx
         p = pre.process
         victim = events[idx]
         src_mod = p.exec_module_at(victim.src)

@@ -114,6 +114,28 @@ def test_csv_series_layout():
     assert lines[2].split(",")[4] == "0.99"
 
 
+def test_running_values_match_oracle_on_every_prefix():
+    rng = random.Random(11)
+    t = DairTracker()
+    for i in range(300):
+        s = rng.randint(1, 50_000)
+        t.record_transfer(rng.choice(["indirect-call", "indirect-jump", "return"]),
+                          rng.randint(0, s), s, seq=2 * i + 1)
+    rows = t.csv_series().splitlines()[1:]
+    series = t.to_report_dict()["series"]
+    assert len(rows) == len(series) == 300
+    for n, (row, (seq, total)) in enumerate(zip(rows, series), start=1):
+        prefix = t.records[:n]
+        assert seq == prefix[-1].seq
+        assert total == oracle.recompute_dair_floats(prefix)
+        expected = [str(seq), f"{total:.12g}"]
+        for kind in ("indirect-call", "indirect-jump", "return"):
+            of_kind = [r for r in prefix if r.kind == kind]
+            expected.append(f"{oracle.recompute_dair_floats(of_kind):.12g}"
+                            if of_kind else "")
+        assert row.split(",") == expected
+
+
 # ---------------------------------------------------------------------------
 # compute_universe
 # ---------------------------------------------------------------------------

@@ -298,7 +298,7 @@ def test_callback_soundness_every_admitted_address_is_instruction():
     rng = random.Random(0xCB)
     for _ in range(40):
         p, _desc, _gen = random_process(rng)
-        for addr in p.callback_set:
+        for addr in {f.address for f in p.callback_findings}:
             assert p.is_instruction(addr)
 
 
@@ -309,7 +309,7 @@ def test_scan_matches_generator_expectation():
         expected = set()
         for gm in generated:
             expected.update(gm.planted_callback_values)
-        assert p.callback_set == expected
+        assert {f.address for f in p.callback_findings} == expected
 
 
 # ---------------------------------------------------------------------------

@@ -125,7 +125,7 @@ def test_unload_revokes_importer_grant():
                         "kind": "function"}],
             "imports": ["foo"],
         }],
-        "callbacks": sorted(p.callback_set),
+        "callbacks": sorted({f.address for f in p.callback_findings}),
         "allowlist": [],
     }
     expected = oracle.build_table(desc)
@@ -357,7 +357,7 @@ def test_unload_keeps_callback_a_surviving_finding_names():
     assert p.table == p.rebuild_table()
     p.unload_module(exe.module_id)
     assert "*" not in p.table.scopes(bar)
-    assert bar not in p.callback_set
+    assert bar not in {f.address for f in p.callback_findings}
     assert p.table == p.rebuild_table()
 
 

@@ -18,6 +18,7 @@ from dyncfi import (
     MutationError,
     MutationSpec,
     ReplayConfig,
+    Replayer,
     TraceError,
     TraceEvent,
     events_to_jsonl,
@@ -382,6 +383,28 @@ def test_mutation_matrix(klass, decision, rule):
         assert [v["seq"] for v in report.violations] == [seq]
     else:
         assert report.clean
+
+
+def test_mutation_skips_an_unmutable_candidate_without_replaying_again(
+        monkeypatch):
+    config, images = workspace_config()
+    base = multi_kind_base()
+    # The first indirect jump sits in libfoo.so, which imports nothing, so
+    # it has no tail-call target; the second sits in app, which imports foo.
+    jumps = [i for i, e in enumerate(base) if e.kind == "indirect-jump"]
+    applied: dict[int, int] = {}
+    apply = Replayer._apply
+
+    def counting_apply(self, event, report):
+        applied[event.seq] = applied.get(event.seq, 0) + 1
+        return apply(self, event, report)
+
+    monkeypatch.setattr(Replayer, "_apply", counting_apply)
+    mutated = generate_adversarial_trace(base, MutationSpec("tailcall"),
+                                         config, images)
+    assert mutated[jumps[0]] == base[jumps[0]]
+    assert mutated[jumps[1]] == replace(base[jumps[1]], dst=LIB_BASE + 0x1000)
+    assert max(applied.values()) <= 2
 
 
 def test_mutation_requires_clean_base():
