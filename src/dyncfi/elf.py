@@ -84,6 +84,13 @@ _KIND_NAMES = {STT_FUNC: "function", STT_OBJECT: "object"}
 PLT_ENTRY_SIZE = 16
 GOT_RESERVED_SLOTS = 3
 
+# Function-pointer creation patterns the callback heuristics look for.
+PATTERN_PUSH_IMM32 = "push-imm32"
+PATTERN_MOV_IMM32 = "mov-imm32-to-stack-slot"
+PATTERN_LEA_EBX = "lea-ebx-relative"
+PATTERN_RELATIVE_RELOC = "relative-relocation"
+PATTERN_DATA_SCAN = "data-scan"
+
 
 # ---------------------------------------------------------------------------
 # Domain types
@@ -232,6 +239,64 @@ class ModuleImage:
                       if s.kind == "function" and s.size > 0})
         reaches = accumulate((hi for _lo, hi in ivs), max)
         return tuple((lo, hi, r) for (lo, hi), r in zip(ivs, reaches))
+
+    @cached_property
+    def callback_candidates(self) -> tuple[tuple[int, bool, str], ...]:
+        """Distinct ``(value, base-relative?, pattern)`` function-pointer
+        candidates in scan order; :func:`dyncfi.policy.scan_callbacks`
+        rebases and admits them per load.
+
+        Byte patterns over executable sections (x86-32 encodings) give
+        absolute values, as do the little-endian words of ``.data``:
+            push-imm32               68 <imm32>
+            mov-imm32-to-stack-slot  c7 44 24 <disp8> <imm32>
+                                     c7 84 24 <disp32> <imm32>
+        Base-relative values are the ``.got.plt`` offset plus the
+        displacement of a ``lea-ebx-relative`` (8d /r with mod=10 rm=ebx:
+        <disp32>) and the addends of relative relocations.
+        """
+        found: dict[tuple[int, bool, str], None] = {}
+        gotplt = self.section(".got.plt")
+        for section in self.executable_sections:
+            data = section.data
+            n = len(data)
+            for i in range(n):
+                b = data[i]
+                if b == 0x68 and i + 5 <= n:
+                    found[(struct.unpack_from("<I", data, i + 1)[0], False,
+                           PATTERN_PUSH_IMM32)] = None
+                elif b == 0xC7 and i + 3 <= n:
+                    modrm, sib = data[i + 1], data[i + 2]
+                    if modrm == 0x44 and sib == 0x24 and i + 8 <= n:
+                        found[(struct.unpack_from("<I", data, i + 4)[0], False,
+                               PATTERN_MOV_IMM32)] = None
+                    elif modrm == 0x84 and sib == 0x24 and i + 11 <= n:
+                        found[(struct.unpack_from("<I", data, i + 7)[0], False,
+                               PATTERN_MOV_IMM32)] = None
+                elif b == 0x8D and i + 6 <= n and gotplt is not None:
+                    if (data[i + 1] & 0xC7) == 0x83:  # mod=10, rm=ebx
+                        disp = struct.unpack_from("<i", data, i + 2)[0]
+                        found[(gotplt.virtual_offset + disp, True,
+                               PATTERN_LEA_EBX)] = None
+        for reloc in self.relocations:
+            if reloc.kind == "relative":
+                found[(reloc.addend, True, PATTERN_RELATIVE_RELOC)] = None
+        data_section = self.section(".data")
+        if data_section is not None and data_section.data:
+            raw = data_section.data
+            for off in range(0, len(raw) - 3, 4):
+                found[(struct.unpack_from("<I", raw, off)[0], False,
+                       PATTERN_DATA_SCAN)] = None
+        return tuple(found)
+
+    @cached_property
+    def instruction_maps(self) -> dict[SidecarTable | None, InstructionMap]:
+        """Instruction maps derived for this image, keyed by the
+        :class:`SidecarTable` that lists its path, or ``None`` when the
+        map comes from symbols.  A map is a pure function of the image and
+        its key, so one derivation serves every later load of the image.
+        """
+        return {}
 
     def export_value(self, name: str) -> int | None:
         for s in self.export_records:

@@ -36,7 +36,9 @@ class SidecarError(DynCfiError):
 class ProcessError(DynCfiError):
     """Illegal process-image mutation.
 
-    Codes: ``overlapping-base``, ``misaligned-base``, ``unknown-module``.
+    Codes: ``overlapping-base``, ``misaligned-base``, ``unknown-module``,
+    ``base-out-of-range`` (the module would end past the 32-bit address
+    space).
     """
 
 

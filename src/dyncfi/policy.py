@@ -24,9 +24,9 @@ would have accepted for that transfer, feeding the reduction metric.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
+from .elf import PATTERN_RELATIVE_RELOC
 from .process import CallbackFinding, LoadedModule, ProcessImage
 
 ALLOW = "allow"
@@ -40,12 +40,6 @@ RULE_RETURN_SHADOW = "return-shadow-match"
 RULE_CALLBACK = "callback-admitted"
 RULE_PLT_DIRECT = "plt-direct"
 RULE_VALID_INSTRUCTION = "valid-instruction"
-
-PATTERN_PUSH_IMM32 = "push-imm32"
-PATTERN_MOV_IMM32 = "mov-imm32-to-stack-slot"
-PATTERN_LEA_EBX = "lea-ebx-relative"
-PATTERN_RELATIVE_RELOC = "relative-relocation"
-PATTERN_DATA_SCAN = "data-scan"
 
 
 @dataclass(frozen=True, slots=True)
@@ -161,8 +155,7 @@ def check_jump(p: ProcessImage, src: int, dst: int) -> Verdict:
     call_targets = p.call_target_set(src_mod.module_id)
     size = len(call_targets)
     if extent is not None:
-        size += sum(1 for a in src_mod.instructions_in(*extent)
-                    if a not in call_targets)
+        size += p.extent_non_targets(src_mod, extent)
 
     dst_mod = p.exec_module_at(dst)
     dst_valid = dst_mod is not None and dst_mod.is_instruction(dst)
@@ -193,64 +186,30 @@ def check_jump(p: ProcessImage, src: int, dst: int) -> Verdict:
 # ---------------------------------------------------------------------------
 
 def scan_callbacks(p: ProcessImage, lm: LoadedModule) -> list[CallbackFinding]:
-    """Scan one loaded module for function-pointer creation patterns.
+    """Admit one loaded module's function-pointer candidates.
 
-    Byte patterns over executable sections (x86-32 encodings):
-        push-imm32               68 <imm32>
-        mov-imm32-to-stack-slot  c7 44 24 <disp8> <imm32>
-                                 c7 84 24 <disp32> <imm32>
-        lea-ebx-relative         8d /r with mod=10 rm=ebx: <disp32>,
-                                 resolved against the module's .got.plt
-    plus relative relocations (resolved value = base + addend) and a scan
-    of .data for words pointing into executable ranges.
+    The byte patterns, relocations and ``.data`` words are found once per
+    image: :attr:`ModuleImage.callback_candidates` holds them as
+    ``(value, base-relative?, pattern)`` in scan order.  Per load, each
+    base-relative value is rebased (``lea-ebx-relative`` as a plain sum,
+    ``relative-relocation`` modulo 2^32), so a load costs O(candidates),
+    not O(bytes).
 
     A candidate is admitted only when the resolved value is a known-valid
     instruction start in some loaded module, so every finding is sound by
-    construction.
+    construction.  Findings are distinct per (address, pattern), in the
+    order of their first candidate.
     """
     findings: dict[tuple[int, str], CallbackFinding] = {}
-
-    def admit(value: int, pattern: str) -> None:
-        if p.is_instruction(value):
-            findings.setdefault(
-                (value, pattern),
-                CallbackFinding(address=value, pattern=pattern,
-                                source_module=lm.module_id))
-
-    gotplt = lm.module.section(".got.plt")
-
-    for section in lm.module.executable_sections:
-        data = section.data
-        n = len(data)
-        for i in range(n):
-            b = data[i]
-            if b == 0x68 and i + 5 <= n:
-                admit(struct.unpack_from("<I", data, i + 1)[0],
-                      PATTERN_PUSH_IMM32)
-            elif b == 0xC7 and i + 3 <= n:
-                modrm, sib = data[i + 1], data[i + 2]
-                if modrm == 0x44 and sib == 0x24 and i + 8 <= n:
-                    admit(struct.unpack_from("<I", data, i + 4)[0],
-                          PATTERN_MOV_IMM32)
-                elif modrm == 0x84 and sib == 0x24 and i + 11 <= n:
-                    admit(struct.unpack_from("<I", data, i + 7)[0],
-                          PATTERN_MOV_IMM32)
-            elif b == 0x8D and i + 6 <= n and gotplt is not None:
-                modrm = data[i + 1]
-                if (modrm & 0xC7) == 0x83:  # mod=10, rm=ebx
-                    disp = struct.unpack_from("<i", data, i + 2)[0]
-                    admit(lm.base + gotplt.virtual_offset + disp,
-                          PATTERN_LEA_EBX)
-
-    for reloc in lm.module.relocations:
-        if reloc.kind == "relative":
-            # 32-bit wraparound: the stored addend is an unsigned word.
-            admit((lm.base + reloc.addend) & 0xFFFFFFFF, PATTERN_RELATIVE_RELOC)
-
-    data_section = lm.module.section(".data")
-    if data_section is not None and data_section.data:
-        raw = data_section.data
-        for off in range(0, len(raw) - 3, 4):
-            admit(struct.unpack_from("<I", raw, off)[0], PATTERN_DATA_SCAN)
-
+    base, source = lm.base, lm.module_id
+    for value, relative, pattern in lm.module.callback_candidates:
+        if relative:
+            value += base
+            if pattern == PATTERN_RELATIVE_RELOC:
+                # 32-bit wraparound: the stored addend is an unsigned word.
+                value &= 0xFFFFFFFF
+        key = (value, pattern)
+        if key not in findings and p.is_instruction(value):
+            findings[key] = CallbackFinding(address=value, pattern=pattern,
+                                            source_module=source)
     return list(findings.values())

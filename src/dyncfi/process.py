@@ -21,6 +21,12 @@ top when a module's call-target set is computed.
 Mutations are serialized by the caller; every mutation bumps ``epoch`` so
 downstream caches can invalidate.  Module views (ranges, sorted function
 intervals, granule boundaries) are computed once per image, not per event.
+
+Address lookups go through an exec-range index: the executable ranges of
+every loaded module, sorted by start, rebuilt on each load and unload.
+Module spans never overlap and each span covers its module's executable
+ranges, so the ranges are disjoint and :meth:`ProcessImage.exec_module_at`
+is one bisect over their starts.
 """
 
 from __future__ import annotations
@@ -34,6 +40,9 @@ from .errors import ProcessError, ResolutionError
 
 PAGE_SIZE = 4096
 GLOBAL_SCOPE = "*"
+
+#: Replay loads ELF32 modules only, so every address is a 32-bit value.
+ADDRESS_LIMIT = 1 << 32
 
 
 @dataclass(frozen=True)
@@ -53,11 +62,12 @@ class LoadedModule:
     def span(self) -> tuple[int, int]:
         """Absolute [start, end) covering the mapped sections.
 
-        Sections at virtual offset 0 are unmapped metadata (symbol and
-        string tables) and do not contribute to the footprint.
+        Non-executable sections at virtual offset 0 are unmapped metadata
+        (symbol and string tables) and do not contribute to the footprint;
+        executable sections always do, wherever they sit.
         """
         sections = [s for s in self.module.sections
-                    if s.size > 0 and s.virtual_offset > 0]
+                    if s.size > 0 and (s.virtual_offset > 0 or s.executable)]
         if not sections:
             return (self.base, self.base)
         lo = min(s.virtual_offset for s in sections)
@@ -138,14 +148,19 @@ class ProcessImage:
         self.plt_resolutions: dict[tuple[str, int], int] = {}
         self.epoch = 0
         self.allowlist = allowlist
+        self._exec_starts: tuple[int, ...] = ()
+        self._exec_owners: tuple[tuple[int, LoadedModule], ...] = ()
+        self._cache_epoch = -1
         self._target_cache: dict[str, frozenset[int]] = {}
-        self._target_cache_epoch = -1
+        self._extent_cache: dict[tuple[str, tuple[int, int]], int] = {}
 
     # -- queries ---------------------------------------------------------
 
     def exec_module_at(self, addr: int) -> LoadedModule | None:
-        for lm in self.loaded.values():
-            if any(lo <= addr < hi for lo, hi in lm.exec_ranges):
+        i = bisect_right(self._exec_starts, addr) - 1
+        if i >= 0:
+            hi, lm = self._exec_owners[i]
+            if addr < hi:
                 return lm
         return None
 
@@ -160,9 +175,7 @@ class ProcessImage:
 
     def call_target_set(self, module_id: str) -> frozenset[int]:
         """All addresses the given module may call (table plus allowlist)."""
-        if self._target_cache_epoch != self.epoch:
-            self._target_cache.clear()
-            self._target_cache_epoch = self.epoch
+        self._sync_caches()
         cached = self._target_cache.get(module_id)
         if cached is not None:
             return cached
@@ -170,6 +183,30 @@ class ProcessImage:
                            | self._allowlist_targets(module_id))
         self._target_cache[module_id] = result
         return result
+
+    def extent_non_targets(self, lm: LoadedModule,
+                           extent: tuple[int, int]) -> int:
+        """Valid instructions of ``lm`` in ``extent`` that ``lm`` may not
+        call: what a jump from the extent may reach beyond its call
+        targets.  Memoized per epoch, so a jump costs no walk of the
+        extent once the extent has been counted."""
+        self._sync_caches()
+        key = (lm.module_id, extent)
+        count = self._extent_cache.get(key)
+        if count is None:
+            targets = self._target_cache.get(lm.module_id)
+            if targets is None:
+                targets = self.call_target_set(lm.module_id)
+            count = sum(1 for a in lm.instructions_in(*extent)
+                        if a not in targets)
+            self._extent_cache[key] = count
+        return count
+
+    def _sync_caches(self) -> None:
+        if self._cache_epoch != self.epoch:
+            self._target_cache.clear()
+            self._extent_cache.clear()
+            self._cache_epoch = self.epoch
 
     def _allowlist_targets(self, module_id: str) -> set[int]:
         if not self.allowlist:
@@ -240,7 +277,8 @@ class ProcessImage:
         """Map ``image`` at ``base`` and extend the lookup table.
 
         Raises:
-            ProcessError: misaligned or overlapping base.
+            ProcessError: misaligned or overlapping base, or a base that
+                puts the module past the 32-bit address space.
         """
         if base % PAGE_SIZE:
             raise ProcessError("misaligned-base",
@@ -251,6 +289,11 @@ class ProcessImage:
                                f"{image.path} already loaded at {hex(base)}")
         lm = LoadedModule(module=image, base=base, imap=imap, module_id=module_id)
         lo, hi = lm.span
+        if hi > ADDRESS_LIMIT:
+            raise ProcessError(
+                "base-out-of-range",
+                f"{image.path} at {hex(base)} ends at {hex(hi)}, past the "
+                f"32-bit address space")
         for other in self.loaded.values():
             o_lo, o_hi = other.span
             if lo < o_hi and o_lo < hi:
@@ -258,9 +301,16 @@ class ProcessImage:
                     "overlapping-base",
                     f"{image.path} at {hex(base)} overlaps {other.module_id}")
         self.loaded[module_id] = lm
+        self._index_exec_ranges()
         self._extend_table_for(lm)
         self.epoch += 1
         return lm
+
+    def _index_exec_ranges(self) -> None:
+        ranges = sorted(((lo, hi, lm) for lm in self.loaded.values()
+                         for lo, hi in lm.exec_ranges), key=lambda r: r[0])
+        self._exec_starts = tuple(lo for lo, _hi, _lm in ranges)
+        self._exec_owners = tuple((hi, lm) for _lo, hi, lm in ranges)
 
     def _extend_table_for(self, lm: LoadedModule) -> None:
         mod, table = lm.module, self.table
@@ -290,6 +340,7 @@ class ProcessImage:
             raise ProcessError("unknown-module", f"not loaded: {module_id}")
         lo, hi = lm.span
         del self.loaded[module_id]
+        self._index_exec_ranges()
         table = self.table
         table.local.pop(module_id)
         table.imported.pop(module_id)

@@ -42,7 +42,7 @@ from .policy import (
     check_jump,
     scan_callbacks,
 )
-from .process import ProcessImage
+from .process import ADDRESS_LIMIT, ProcessImage
 from .shadow import ShadowStack
 
 EVENT_KINDS = frozenset({
@@ -54,9 +54,6 @@ TRANSFER_EVENT_KINDS = frozenset({
     "direct-call", "indirect-call", "direct-jump", "indirect-jump",
     "return", "plt-call",
 })
-
-#: Replay loads ELF32 modules only, so every address is a 32-bit value.
-ADDRESS_LIMIT = 1 << 32
 
 RULE_SELF_MODIFYING = "self-modifying-code"
 RULE_UNWIND_MISS = "unwind-miss"
@@ -304,10 +301,15 @@ class Replayer:
         return img
 
     def _imap_for(self, img: ModuleImage):
+        # Derived once per (image, sidecar) and kept on the image, so
+        # reloads and later Replayers sharing the image skip the work.
         sidecar = self.config.sidecar
-        if sidecar is not None and img.path in sidecar:
-            return derive_instruction_map(img, sidecar)
-        return derive_instruction_map(img)
+        key = sidecar if sidecar is not None and img.path in sidecar else None
+        maps = img.instruction_maps
+        imap = maps.get(key)
+        if imap is None:
+            imap = maps[key] = derive_instruction_map(img, key)
+        return imap
 
     def _shadow(self, tid: int) -> ShadowStack:
         if tid not in self.shadows:

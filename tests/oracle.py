@@ -28,6 +28,8 @@ Rules re-derived here:
      section/export granule) at valid instructions, or tail-call into the
      allowed call-target set.
   4. every transfer must land on a known-valid instruction start.
+  5. callback heuristics admit a pointer-creation candidate found by a
+     byte-by-byte scan when it resolves to a valid instruction start.
 """
 
 from __future__ import annotations
@@ -207,3 +209,45 @@ def recompute_dair(records) -> Fraction:
 def recompute_dair_floats(records) -> float:
     """Second, simple float summation path."""
     return sum(1.0 - rec.allowed / rec.universe for rec in records) / len(records)
+
+
+def callback_findings(process: dict, m: dict) -> list[tuple[int, str]]:
+    """``(address, pattern)`` the callback heuristics admit for module
+    ``m``, in the order a byte-by-byte scan first finds them.
+
+    ``m`` carries, besides ``base``, the raw material of the scan:
+    ``"code"``: ``[(offset, bytes)]`` per executable section in section
+    order, ``"gotplt"``: the ``.got.plt`` offset or None, ``"relative"``:
+    the addends of relative relocations in order, ``"data"``: the
+    ``.data`` bytes.  A candidate is admitted when it is a valid
+    instruction start of ``process`` (a descriptor as above, holding only
+    ``base``, ``sections`` and ``imap`` per module).
+    """
+    base = m["base"]
+    hits: list[tuple[int, str]] = []
+    for _offset, code in m["code"]:
+        for i in range(len(code)):
+            w = code[i:i + 11]
+            if w[:1] == b"\x68" and len(w) >= 5:
+                hits.append((int.from_bytes(w[1:5], "little"), "push-imm32"))
+            elif w[:3] == b"\xc7\x44\x24" and len(w) >= 8:
+                hits.append((int.from_bytes(w[4:8], "little"),
+                             "mov-imm32-to-stack-slot"))
+            elif w[:3] == b"\xc7\x84\x24" and len(w) >= 11:
+                hits.append((int.from_bytes(w[7:11], "little"),
+                             "mov-imm32-to-stack-slot"))
+            elif (w[:1] == b"\x8d" and len(w) >= 6 and m["gotplt"] is not None
+                  and w[1] >> 6 == 0b10 and w[1] & 0b111 == 0b011):
+                # lea disp32(%ebx): %ebx holds .got.plt; the sum is not wrapped
+                disp = int.from_bytes(w[2:6], "little", signed=True)
+                hits.append((base + m["gotplt"] + disp, "lea-ebx-relative"))
+    for addend in m["relative"]:
+        hits.append(((base + addend) % 2**32, "relative-relocation"))
+    data = m["data"]
+    for off in range(0, len(data) - len(data) % 4, 4):
+        hits.append((int.from_bytes(data[off:off + 4], "little"), "data-scan"))
+    out: list[tuple[int, str]] = []
+    for hit in hits:
+        if hit not in out and is_instruction(process, hit[0]):
+            out.append(hit)
+    return out

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from dyncfi.cli import _load_allowlist, main
+from dyncfi.elf import FixtureSpec, SymbolSpec, build_fixture
 
 SPEC_JSON = {
     "modules": [
@@ -95,6 +96,17 @@ def test_check_adversarial_trace_exit_1(workspace: Path):
 def test_check_truncated_trace_exit_2(workspace: Path):
     (workspace / "broken.jsonl").write_text(TRACE[: len(TRACE) // 2])
     assert run_check(workspace, "broken.jsonl") == 2
+
+
+def test_check_load_past_address_space_exits_2(tmp_path: Path, capsys):
+    spec = FixtureSpec(path="libhigh.so", code=b"\x90" * 0x40,
+                       symbols=(SymbolSpec("hi_fn", 0x1000, 0x20),))
+    (tmp_path / "libhigh.so").write_bytes(build_fixture(spec))
+    (tmp_path / "high.jsonl").write_text(
+        '{"seq":1,"tid":0,"kind":"load","path":"libhigh.so","base":"0xfffff000"}\n')
+    assert main(["check", "--trace", str(tmp_path / "high.jsonl"),
+                 "-o", str(tmp_path / "report.json")]) == 2
+    assert "error: base-out-of-range" in capsys.readouterr().err
 
 
 def test_check_missing_trace_exit_2(workspace: Path, capsys):

@@ -1,7 +1,9 @@
 """Policy decisions: rule checks, callback heuristics, fast-path cache."""
 
+import pathlib
 import random
 import struct
+from collections import Counter
 
 import oracle
 from strategies import (
@@ -13,6 +15,7 @@ from strategies import (
     random_process,
     two_module_workspace,
 )
+from elf_corpus import CORPUS_NONSTRIPPED_32, CORPUS_STRIPPED_32
 
 from dyncfi import (
     FastPathCache,
@@ -22,9 +25,11 @@ from dyncfi import (
     check_call,
     check_jump,
     derive_instruction_map,
+    parse_module,
     scan_callbacks,
 )
 from dyncfi.elf import RelocSpec
+from dyncfi.process import CallbackFinding, LoadedModule
 from dyncfi.policy import (
     RULE_CALL_IMPORT,
     RULE_CALL_LOCAL,
@@ -187,6 +192,43 @@ def test_jump_target_set_counts_extent_and_call_targets():
     assert v.target_set_size == 6
 
 
+def test_jump_walks_each_extent_once_per_epoch(monkeypatch):
+    """A jump's target-set size needs the extent's instructions outside
+    the call targets; that walk runs once per (module, extent) per epoch,
+    so repeated jumps cost no more in a larger function."""
+    walks: Counter = Counter()
+    current: list[ProcessImage] = []
+    walk = LoadedModule.instructions_in
+
+    def counting(self, lo, hi):
+        walks[(len(current), current[-1].epoch, self.module_id, lo, hi)] += 1
+        return walk(self, lo, hi)
+
+    monkeypatch.setattr(LoadedModule, "instructions_in", counting)
+    rng = random.Random(0x7A11)
+    jumps = 0
+    for _ in range(10):
+        p, desc, _gen = random_process(rng, with_callbacks=False)
+        current.append(p)
+        addrs = all_instruction_addresses(p)
+        for _round in range(2):
+            for src in addrs:
+                for dst in addrs[::3]:
+                    size = check_jump(p, src, dst).target_set_size
+                    assert size == oracle.check_jump(desc, src, dst)["size"]
+                    jumps += 1
+            # A new epoch re-counts: a callback inside a function turns one
+            # of its instructions into a call target.
+            inner = [a for a in addrs if not any(
+                a in p.call_target_set(m) for m in p.loaded)]
+            if inner:
+                owner = p.exec_module_at(inner[0]).module_id
+                p.admit_callbacks([CallbackFinding(inner[0], "data-scan", owner)])
+                desc["callbacks"].append(inner[0])
+    assert walks and max(walks.values()) == 1
+    assert jumps > 10 * len(walks)
+
+
 # ---------------------------------------------------------------------------
 # Callback heuristics
 # ---------------------------------------------------------------------------
@@ -310,6 +352,141 @@ def test_scan_matches_generator_expectation():
         for gm in generated:
             expected.update(gm.planted_callback_values)
         assert {f.address for f in p.callback_findings} == expected
+
+
+# Two base assignments per module pair.  Under the first, a relative
+# relocation in the higher module wraps at 32 bits onto the lower one;
+# under the second, a lea sum passes 2^32 and must not wrap.
+SCAN_BASES = ({"cba.so": 0x40000000, "cbb.so": 0x41000000},
+              {"cba.so": 0xC0000000, "cbb.so": 0x08048000})
+SCAN_GOTPLT = 0x2800
+
+
+def planted_scan_spec(rng: random.Random, path: str, other: str) -> FixtureSpec:
+    """A module whose code and .data plant every callback pattern, aimed
+    at functions of itself and of ``other`` under both SCAN_BASES."""
+    funcs = [0x1000 + 0x20 * i for i in range(8)]
+    own = [bases[path] + f for bases in SCAN_BASES for f in funcs]
+    foreign = [bases[other] + f for bases in SCAN_BASES for f in funcs]
+
+    def imm() -> bytes:
+        pick = rng.random()
+        value = (rng.choice(own) if pick < 0.4 else rng.choice(foreign)
+                 if pick < 0.8 else rng.randrange(2**32))
+        return struct.pack("<I", value)
+
+    code = bytearray()
+    for _ in range(24):
+        kind = rng.randrange(7)
+        if kind == 0:
+            code += b"\x68" + imm()
+        elif kind == 1:
+            code += b"\xc7\x44\x24" + bytes([rng.randrange(256)]) + imm()
+        elif kind == 2:
+            disp = struct.pack("<i", rng.randrange(-512, 512))
+            code += b"\xc7\x84\x24" + disp + imm()
+        elif kind == 3:  # lea disp32(%ebx) with any destination register
+            disp = rng.choice(funcs) + rng.choice((0, 0, 1)) - SCAN_GOTPLT
+            modrm = 0x83 | rng.randrange(8) << 3
+            code += bytes([0x8D, modrm]) + struct.pack("<i", disp)
+        elif kind == 4:  # lea sums that pass 2^32 under the second bases
+            high = SCAN_BASES[1]["cba.so"] + SCAN_GOTPLT
+            disp = SCAN_BASES[1]["cbb.so"] + rng.choice(funcs) + 2**32 - high
+            code += b"\x8d\x83" + struct.pack("<i", disp)
+        elif kind == 5:  # mod/rm that is not disp32(%ebx)
+            code += bytes([0x8D, rng.choice((0x03, 0x43, 0x84, 0xC3))]) + imm()
+        else:
+            code += bytes(rng.randrange(256) for _ in range(rng.randrange(1, 6)))
+    code += b"\x90" * (0x100 - len(code) % 0x100)
+    symbols = tuple(SymbolSpec(f"{path[:3]}{i}", f, 0x20)
+                    for i, f in enumerate(funcs))
+    data = bytearray()
+    relocs = []
+    for _ in range(10):
+        kind = rng.randrange(3)
+        if kind == 0:
+            data += imm()
+        elif kind == 1:
+            data += bytes(4)
+        else:  # own function, or the other module's through 32-bit wraparound
+            target = rng.choice(own + foreign)
+            addend = (target - rng.choice(SCAN_BASES)[path]) & 0xFFFFFFFF
+            relocs.append(RelocSpec(offset=0x3000 + len(data), addend=addend))
+            data += bytes(4)
+    data += bytes(rng.randrange(4))  # a trailing partial word is not scanned
+    return FixtureSpec(
+        path=path, code=bytes(code), symbols=symbols,
+        imports=("ext",), plt=("ext",), relocations=tuple(relocs),
+        data=bytes(data), instruction_offsets=tuple(f + 4 for f in funcs),
+        gotplt_vaddr=SCAN_GOTPLT)
+
+
+def scan_descriptor(lm) -> dict:
+    """Oracle descriptor of one loaded module, with the scan's raw bytes."""
+    mod = lm.module
+    by_name = {}
+    for s in mod.sections:
+        by_name.setdefault(s.name, s)
+    gotplt = by_name.get(".got.plt")
+    return {
+        "base": lm.base,
+        "sections": [{"lo": s.virtual_offset, "hi": s.end, "exec": True}
+                     for s in mod.sections if s.executable and s.size > 0],
+        "imap": set(lm.imap.offsets),
+        "code": [(s.virtual_offset, s.data) for s in mod.sections
+                 if s.executable and s.size > 0],
+        "gotplt": gotplt.virtual_offset if gotplt is not None else None,
+        "relative": [r.addend for r in mod.relocations if r.kind == "relative"],
+        "data": by_name[".data"].data if ".data" in by_name else b"",
+    }
+
+
+def compare_scans_with_oracle(loads) -> list[tuple[int, str]]:
+    """Load (image, base, imap) in order; after each load, the engine's
+    findings must equal the oracle's, list and order.  Returns them all."""
+    p = ProcessImage()
+    process = {"modules": []}
+    admitted = []
+    for image, base, imap in loads:
+        lm = p.load_module(image, base, imap)
+        process["modules"].append(scan_descriptor(lm))
+        found = [(f.address, f.pattern) for f in scan_callbacks(p, lm)]
+        assert found == oracle.callback_findings(process, process["modules"][-1])
+        admitted.extend(found)
+    return admitted
+
+
+def test_scan_matches_brute_force_oracle_on_planted_images():
+    rng = random.Random(0x5CA7)
+    admitted = []
+    for _ in range(12):
+        specs = [planted_scan_spec(rng, "cba.so", "cbb.so"),
+                 planted_scan_spec(rng, "cbb.so", "cba.so")]
+        images = [(make_image(s), s) for s in specs]
+        for bases in SCAN_BASES:
+            for order in (images, images[::-1]):
+                admitted += compare_scans_with_oracle(
+                    (img, bases[s.path], imap_for(s, img, True))
+                    for img, s in order)
+    assert {pattern for _a, pattern in admitted} == {
+        "push-imm32", "mov-imm32-to-stack-slot", "lea-ebx-relative",
+        "relative-relocation", "data-scan"}
+    # The wrapped relative sum reached a lower module at least once.
+    low = SCAN_BASES[0]["cba.so"] + 0x1000
+    assert any(pattern == "relative-relocation" and low <= a < low + 0x100
+               for a, pattern in admitted)
+
+
+def test_scan_matches_brute_force_oracle_on_corpus():
+    images = [parse_module(pathlib.Path(path).read_bytes(), path)
+              for path in (CORPUS_NONSTRIPPED_32, CORPUS_STRIPPED_32)]
+    admitted = []
+    for bases in ((0x40000000, 0x50000000), (0x08048000, 0xF0000000)):
+        for order in ((0, 1), (1, 0)):
+            admitted += compare_scans_with_oracle(
+                (images[i], bases[i], derive_instruction_map(images[i]))
+                for i in order)
+    assert admitted
 
 
 # ---------------------------------------------------------------------------

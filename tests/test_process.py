@@ -91,6 +91,35 @@ def test_load_errors():
     assert exc.value.code == "misaligned-base"
 
 
+def test_code_at_virtual_offset_zero_counts_toward_span():
+    # .text at offset 0 is mapped code, not metadata: two such modules at
+    # one base overlap, and address lookup must never have to pick one.
+    z, y = (make_image(FixtureSpec(path=path, code=b"\x90" * 0x40, text_vaddr=0,
+                                   symbols=(SymbolSpec(path[0] + "fn", 0, 0x20),)))
+            for path in ("z.so", "y.so"))
+    p = ProcessImage()
+    lm = p.load_module(z, 0x10000, derive_instruction_map(z))
+    assert lm.span == (0x10000, 0x10040) == lm.exec_ranges[0]
+    with pytest.raises(ProcessError) as exc:
+        p.load_module(y, 0x10000, derive_instruction_map(y))
+    assert exc.value.code == "overlapping-base"
+    assert p.exec_module_at(0x10000) is lm
+
+
+def test_load_rejects_base_past_address_space():
+    spec = FixtureSpec(path="libhigh.so", code=b"\x90" * 0x40,
+                       symbols=(SymbolSpec("hi_fn", 0x1000, 0x20),))
+    img = make_image(spec)
+    p = ProcessImage()
+    with pytest.raises(ProcessError) as exc:
+        p.load_module(img, 0xFFFFF000, derive_instruction_map(img))
+    assert exc.value.code == "base-out-of-range"
+    assert not p.loaded and p.epoch == 0
+    # One page lower, the module fits below 2^32.
+    lm = p.load_module(img, 0xFFFFE000, derive_instruction_map(img))
+    assert lm.span[1] <= 1 << 32 and p.exec_module_at(0xFFFFF000) is lm
+
+
 def test_unload_restores_prior_table():
     p, exe, lib = load_pair()
     before = p.table.snapshot()

@@ -1,6 +1,7 @@
 """Trace engine: parsing, replay orchestration, reports, adversarial traces."""
 
 import json
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -19,14 +20,18 @@ from dyncfi import (
     MutationSpec,
     ReplayConfig,
     Replayer,
+    SidecarError,
     TraceError,
     TraceEvent,
     events_to_jsonl,
     generate_adversarial_trace,
+    load_sidecar,
     parse_module,
     parse_trace,
     replay,
+    sidecar_lines,
 )
+from dyncfi import trace as trace_mod
 from elf_corpus import CORPUS_NONSTRIPPED_32
 
 CALL = TraceEvent(seq=3, tid=0, kind="indirect-call",
@@ -261,6 +266,85 @@ def test_plt_call_through_self_interposable_stub():
     assert report.clean
     assert report.verdicts[-1].rule == "plt-direct"
     assert hex(base + img.export_value("corpus_add")) in report.verdicts[-1].reason
+
+
+# ---------------------------------------------------------------------------
+# instruction maps, derived once per (image, sidecar)
+# ---------------------------------------------------------------------------
+
+def counted_derivations(monkeypatch) -> Counter:
+    """Count trace.derive_instruction_map calls per (image, sidecar)."""
+    calls: Counter = Counter()
+    derive = trace_mod.derive_instruction_map
+
+    def counting(img, sidecar=None):
+        calls[(id(img), id(sidecar))] += 1
+        return derive(img, sidecar)
+
+    monkeypatch.setattr(trace_mod, "derive_instruction_map", counting)
+    return calls
+
+
+RELOAD = [TraceEvent(seq=5, tid=0, kind="unload", path="libfoo.so"),
+          TraceEvent(seq=6, tid=0, kind="load", path="libfoo.so", base=LIB_BASE)]
+
+
+def test_instruction_map_derived_once_per_image_across_replayers(monkeypatch):
+    calls = counted_derivations(monkeypatch)
+    config, images = workspace_config()
+    reports = [Replayer(config, images).replay(clean_events() + RELOAD)
+               for _ in range(2)]
+    assert reports[0].to_json() == reports[1].to_json()
+    assert reports[0].clean
+    assert sorted(calls.values()) == [1, 1]
+    assert set(calls) == {(id(img), id(config.sidecar)) for img in images.values()}
+
+
+def test_second_sidecar_gets_its_own_instruction_map(monkeypatch):
+    calls = counted_derivations(monkeypatch)
+    specs, images, sidecar = two_module_workspace()
+    entries_only = load_sidecar("\n".join(
+        f"{s.path} {sym.value:#x}" for s in specs.values() for sym in s.symbols))
+    first = Replayer(ReplayConfig(sidecar=sidecar), images)
+    first.replay(load_events())
+    second = Replayer(ReplayConfig(sidecar=entries_only), images)
+    second.replay(load_events())
+    assert sorted(calls.values()) == [1, 1, 1, 1]
+    for path, img in images.items():
+        assert set(img.instruction_maps) == {sidecar, entries_only}
+        assert first.process.by_path(path).imap.offsets == sidecar.offsets_for(path)
+        assert second.process.by_path(path).imap.offsets == \
+            entries_only.offsets_for(path)
+
+
+def test_stripped_twin_gets_its_own_instruction_map(monkeypatch):
+    calls = counted_derivations(monkeypatch)
+    _specs, images, _sidecar = two_module_workspace()
+    lib = images["libfoo.so"]
+    full = Replayer(modules=images)
+    full.replay(load_events())
+    twin = lib.stripped_twin()
+    assert twin.instruction_maps == {}
+    stripped = Replayer(modules=dict(images, **{"libfoo.so": twin}))
+    stripped.replay(load_events())
+    assert calls[(id(twin), id(None))] == 1 and calls[(id(lib), id(None))] == 1
+    # Without a sidecar the twin knows only its exported entries.
+    assert full.process.by_path("libfoo.so").imap.offsets == (
+        0x1000, 0x1040, 0x1080, 0x10a0)
+    assert stripped.process.by_path("libfoo.so").imap.offsets == (0x1000, 0x1040)
+
+
+def test_bad_sidecar_offset_fails_every_load(monkeypatch):
+    calls = counted_derivations(monkeypatch)
+    specs, images, _sidecar = two_module_workspace()
+    bad = load_sidecar("\n".join(sidecar_lines(specs["app"])
+                                 + ["libfoo.so 0x1000", "libfoo.so 0x9000"]))
+    for _ in range(2):
+        with pytest.raises(SidecarError) as exc:
+            Replayer(ReplayConfig(sidecar=bad), images).replay(load_events())
+        assert exc.value.code == "sidecar-module-mismatch"
+    assert calls[(id(images["libfoo.so"]), id(bad))] == 2
+    assert images["libfoo.so"].instruction_maps == {}
 
 
 def test_direct_transfers_excluded_from_metric():
