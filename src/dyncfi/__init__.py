@@ -34,13 +34,7 @@ from .errors import (
     SidecarError,
     TraceError,
 )
-from .policy import (
-    FastPathCache,
-    Verdict,
-    check_call,
-    check_jump,
-    scan_callbacks,
-)
+from .policy import Verdict, check_call, check_jump, scan_callbacks
 from .process import CallbackFinding, LoadedModule, ProcessImage, TransferLookupTable
 from .shadow import ShadowFrame, ShadowStack
 from .trace import (

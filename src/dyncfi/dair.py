@@ -76,26 +76,13 @@ class DairTracker:
             kind_n[rec.kind] += 1
             yield rec.seq, acc / n, kind_sum, kind_n
 
-    def _final(self) -> tuple[float | None, dict[str, float], dict[str, int]]:
-        """Total (None when nothing ran), kind sums and counts at the end."""
-        total = None
-        kind_sum = dict.fromkeys(TRANSFER_KINDS, 0.0)
-        kind_n = dict.fromkeys(TRANSFER_KINDS, 0)
-        for _seq, total, kind_sum, kind_n in self._running():
-            pass
-        return total, kind_sum, kind_n
-
     def total(self) -> float:
-        total = self._final()[0]
+        total = None
+        for _seq, total, _kind_sum, _kind_n in self._running():
+            pass
         if total is None:
             raise MetricError("no-transfers", "no indirect transfers recorded")
         return total
-
-    def per_kind(self) -> dict[str, float | None]:
-        return _means(*self._final()[1:])
-
-    def kind_counts(self) -> dict[str, int]:
-        return self._final()[2]
 
     def finalize(self) -> dict:
         """Summary with percentage formatting; raises when nothing ran."""

@@ -54,51 +54,10 @@ class Verdict:
         return self.decision == ALLOW
 
 
-class FastPathCache:
-    """Verified {source module, destination, kind} pairs, epoch-bound.
-
-    Entries survive only while the process-image epoch is unchanged; any
-    load/unload/callback admission drops the whole cache.
-    """
-
-    def __init__(self) -> None:
-        self._entries: dict[tuple[str, int, str], Verdict] = {}
-        self.bound_epoch: int | None = None
-        self.hits = 0
-        self.misses = 0
-
-    def _sync(self, epoch: int) -> None:
-        if self.bound_epoch != epoch:
-            self._entries.clear()
-            self.bound_epoch = epoch
-
-    def lookup(self, key: tuple[str, int, str], epoch: int) -> Verdict | None:
-        self._sync(epoch)
-        verdict = self._entries.get(key)
-        if verdict is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return verdict
-
-    def insert(self, key: tuple[str, int, str], epoch: int, verdict: Verdict) -> None:
-        self._sync(epoch)
-        self._entries[key] = verdict
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
-def check_call(p: ProcessImage, cache: FastPathCache | None,
-               src: int, dst: int) -> Verdict:
+def check_call(p: ProcessImage, src: int, dst: int) -> Verdict:
     """Validate a call transfer; the caller guarantees src is mapped."""
     src_mod = p.exec_module_at(src)
     assert src_mod is not None, "caller must reject unmapped sources"
-    key = (src_mod.module_id, dst, "call")
-    if cache is not None:
-        hit = cache.lookup(key, p.epoch)
-        if hit is not None:
-            return hit
 
     targets = p.call_target_set(src_mod.module_id)
     size = len(targets)
@@ -111,10 +70,7 @@ def check_call(p: ProcessImage, cache: FastPathCache | None,
 
     if dst in targets:
         rule, reason = _allow_rule(p, src_mod, dst_mod, dst)
-        verdict = Verdict(ALLOW, rule, reason, size)
-        if cache is not None:
-            cache.insert(key, p.epoch, verdict)
-        return verdict
+        return Verdict(ALLOW, rule, reason, size)
 
     if dst_mod.module_id == src_mod.module_id:
         return Verdict(DENY, RULE_CALL_LOCAL,
@@ -142,12 +98,7 @@ def _allow_rule(p: ProcessImage, src_mod: LoadedModule,
 
 
 def check_jump(p: ProcessImage, src: int, dst: int) -> Verdict:
-    """Validate a jump transfer (intra-function or tail call).
-
-    Never cached: a jump verdict depends on the source's enclosing
-    function, so entries keyed by (module, destination) would conflate
-    sources with different extents.
-    """
+    """Validate a jump transfer (intra-function or tail call)."""
     src_mod = p.exec_module_at(src)
     assert src_mod is not None, "caller must reject unmapped sources"
 

@@ -110,9 +110,6 @@ class TransferLookupTable:
         self.imported: dict[str, set[int]] = {}
         self.callbacks: set[int] = set()
 
-    def scopes(self, target: int) -> dict[str, tuple[str, ...]]:
-        return self.snapshot().get(target, {})
-
     def targets_for(self, scope: str) -> set[int]:
         return (self.local.get(scope, set()) | self.imported.get(scope, set())
                 | self.callbacks)
@@ -317,14 +314,17 @@ class ProcessImage:
         # Functions defined in the module, callable from the module itself.
         offsets = lm.imap.offsets if mod.stripped else mod.exec_function_starts
         table.local[lm.module_id] = {lm.base + off for off in offsets}
-        # New module's imports, resolved against every loaded exporter.
-        wanted = set(mod.imports)
+        # New module's imports, resolved against every loaded exporter.  A
+        # PLT stub's symbol counts as imported even when the module defines
+        # it: an earlier-loaded exporter interposes on the stub.
+        wanted = {*mod.imports, *(e.symbol for e in mod.plt_entries)}
         table.imported[lm.module_id] = {
             other.base + off for other in self.loaded.values()
             for name, off in other.module.exec_function_exports if name in wanted}
         # New module's exports, callable from every importer already loaded.
         for other in self.loaded.values():
-            imported = set(other.module.imports)
+            imported = {*other.module.imports,
+                        *(e.symbol for e in other.module.plt_entries)}
             table.imported[other.module_id].update(
                 lm.base + off for name, off in mod.exec_function_exports
                 if name in imported)
@@ -422,11 +422,13 @@ class ProcessImage:
                 fresh.local[lm.module_id] = {lm.base + off
                                              for off in lm.imap.offsets}
         for importer in self.loaded.values():
+            names = set(importer.module.imports)
+            names.update(e.symbol for e in importer.module.plt_entries)
             fresh.imported[importer.module_id] = {
                 exporter.base + r.value
                 for exporter in self.loaded.values()
                 for r in exporter.module.export_records
-                if r.kind == "function" and r.name in importer.module.imports
+                if r.kind == "function" and r.name in names
                 and exporter.module.in_executable_range(r.value)}
         fresh.callbacks = {f.address for f in self.callback_findings}
         return fresh

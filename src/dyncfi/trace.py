@@ -36,7 +36,6 @@ from .policy import (
     ALLOW,
     DENY,
     RULE_PLT_DIRECT,
-    FastPathCache,
     Verdict,
     check_call,
     check_jump,
@@ -187,7 +186,6 @@ class ReplayConfig:
     universe_mode: str = dair_mod.UNIVERSE_EXEC_BYTES
     allowlist: frozenset[tuple[str, str]] = frozenset()
     sidecar: SidecarTable | None = None
-    cache_enabled: bool = True
     module_root: Path | None = None
 
 
@@ -226,16 +224,8 @@ class EnforcementReport:
         return sum(self.kind_counts.values())
 
     @property
-    def denies(self) -> int:
-        return sum(1 for v in self.verdicts if v.decision == DENY)
-
-    @property
-    def allows(self) -> int:
-        return sum(1 for v in self.verdicts if v.decision == ALLOW)
-
-    @property
     def clean(self) -> bool:
-        return self.denies == 0
+        return all(v.decision != DENY for v in self.verdicts)
 
     def to_dict(self) -> dict:
         violations = self.violations
@@ -261,13 +251,45 @@ class EnforcementReport:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
 
+class DirectMemo:
+    """Direct-transfer verdicts keyed by ``(kind, src, dst)``, epoch-bound.
+
+    Entries survive only while the process-image epoch is unchanged: a
+    load, unload or callback admission may add or revoke a binding, so it
+    drops the whole memo and forces revalidation.
+    """
+
+    def __init__(self) -> None:
+        self._entries: dict[tuple[str, int, int], Verdict] = {}
+        self._epoch: int | None = None
+        self.hits = 0
+        self.misses = 0
+
+    def lookup(self, key: tuple[str, int, int], epoch: int) -> Verdict | None:
+        if self._epoch != epoch:
+            self._entries.clear()
+            self._epoch = epoch
+        verdict = self._entries.get(key)
+        if verdict is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return verdict
+
+    def insert(self, key: tuple[str, int, int], verdict: Verdict) -> None:
+        """Store the verdict of a key just missed in the current epoch."""
+        self._entries[key] = verdict
+
+
 class Replayer:
     """Applies a parsed event stream to a fresh process image.
 
     ``modules`` maps trace paths to pre-parsed images; paths not found
     there are read from ``config.module_root`` (or the filesystem as
-    given).  The instance keeps its final process state after
-    :meth:`replay`, which the adversarial generator uses for snapshots.
+    given).  ``cache`` is the direct-transfer memo; its ``hits`` and
+    ``misses`` count lookups.  The instance keeps its final process state
+    after :meth:`replay`, which the adversarial generator uses for
+    snapshots.
     """
 
     def __init__(self, config: ReplayConfig | None = None,
@@ -275,10 +297,8 @@ class Replayer:
         self.config = config or ReplayConfig()
         self.modules = dict(modules or {})
         self.process = ProcessImage(allowlist=self.config.allowlist)
-        self.cache = FastPathCache() if self.config.cache_enabled else None
+        self.cache = DirectMemo()
         self.shadows: dict[int, ShadowStack] = {}
-        self._direct_seen: dict[tuple[str, int, int], Verdict] = {}
-        self._direct_epoch = -1
         self._universe_cache: tuple[int, int] | None = None  # (epoch, S)
 
     # -- helpers -----------------------------------------------------------
@@ -329,14 +349,6 @@ class Replayer:
                              f"{what} {hex(addr)} not in any loaded module",
                              seq=seq)
         return lm
-
-    def _directs(self) -> dict[tuple[str, int, int], Verdict]:
-        # Unloads revoke bindings and force revalidation: the once-per-pair
-        # memo is scoped to the current epoch.
-        if self._direct_epoch != self.process.epoch:
-            self._direct_seen.clear()
-            self._direct_epoch = self.process.epoch
-        return self._direct_seen
 
     # -- main loop ----------------------------------------------------------
 
@@ -418,21 +430,20 @@ class Replayer:
         if kind == "return":
             verdict = self._shadow(event.tid).pop_and_check(event.dst)
         elif kind == "indirect-call":
-            verdict = check_call(p, self.cache, event.src, event.dst)
+            verdict = check_call(p, event.src, event.dst)
         elif kind == "indirect-jump":
             verdict = check_jump(p, event.src, event.dst)
         else:
-            memo = self._directs()
             key = (kind, event.src, event.dst)
-            verdict = memo.get(key)
+            verdict = self.cache.lookup(key, p.epoch)
             if verdict is None:
                 if kind == "direct-call":
-                    verdict = check_call(p, None, event.src, event.dst)
+                    verdict = check_call(p, event.src, event.dst)
                 elif kind == "direct-jump":
                     verdict = check_jump(p, event.src, event.dst)
                 else:
                     verdict = self._check_plt_call(src_mod.module_id, event)
-                memo[key] = verdict
+                self.cache.insert(key, verdict)
         self._record(report, event, verdict)
         if kind in dair_mod.TRANSFER_KINDS:
             # A return's target-set size is 1: its shadow frame.
@@ -454,7 +465,7 @@ class Replayer:
         except ResolutionError as exc:
             return Verdict(DENY, RULE_PLT_DIRECT, exc.message,
                            len(p.call_target_set(module_id)))
-        verdict = check_call(p, None, event.src, target)
+        verdict = check_call(p, event.src, target)
         if verdict.allowed:
             return Verdict(ALLOW, RULE_PLT_DIRECT,
                            f"PLT entry {hex(event.dst)} inlined to "

@@ -207,8 +207,16 @@ def recompute_dair(records) -> Fraction:
 
 
 def recompute_dair_floats(records) -> float:
-    """Second, simple float summation path."""
-    return sum(1.0 - rec.allowed / rec.universe for rec in records) / len(records)
+    """Second, simple float summation path, added left to right.
+
+    An explicit loop, not ``sum()``: from Python 3.12 ``sum()`` of floats
+    is compensated, so its bits would differ from the engine's running
+    left-to-right total that tests compare exactly.
+    """
+    total = 0.0
+    for rec in records:
+        total += 1.0 - rec.allowed / rec.universe
+    return total / len(records)
 
 
 def callback_findings(process: dict, m: dict) -> list[tuple[int, str]]:

@@ -23,6 +23,7 @@ from dyncfi import (
     scan_callbacks,
     sidecar_lines,
 )
+from dyncfi.trace import DirectMemo
 
 BASES = [0x08048000, 0x40000000, 0x41000000, 0x42000000, 0x43000000, 0x44000000]
 
@@ -31,6 +32,14 @@ NAME_POOL = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta",
 
 EXE_BASE = 0x08048000
 LIB_BASE = 0x40000000
+
+
+class NeverHitMemo(DirectMemo):
+    """A direct memo that forgets everything: each direct event is checked."""
+
+    def lookup(self, key, epoch):
+        self.misses += 1
+        return None
 
 
 def make_image(spec: FixtureSpec) -> ModuleImage:

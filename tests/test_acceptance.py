@@ -16,6 +16,7 @@ from strategies import (
     BASES,
     EXE_BASE,
     LIB_BASE,
+    NeverHitMemo,
     all_instruction_addresses,
     balanced_shadow_ops,
     imap_for,
@@ -71,7 +72,7 @@ def test_criterion_1_rule_oracle_equivalence():
         addrs = all_instruction_addresses(p)
         for src in addrs:
             for dst in addrs:
-                ev = check_call(p, None, src, dst)
+                ev = check_call(p, src, dst)
                 ov = oracle.check_call(desc, src, dst)
                 assert (ev.decision, ev.target_set_size) == \
                     (ov["decision"], ov["size"]), \
@@ -329,7 +330,7 @@ def random_trace(rng: random.Random, specs) -> list[TraceEvent]:
 
     emit("load", path=specs[0].path, base=BASES[0])
     loaded[specs[0].path] = BASES[0]
-    last_call: tuple[int, int] | None = None
+    last_pair: dict[str, tuple[int, int]] = {}
     for _ in range(rng.randint(10, 28)):
         roll = rng.random()
         unloaded = [s for s in specs if s.path not in loaded]
@@ -342,7 +343,7 @@ def random_trace(rng: random.Random, specs) -> list[TraceEvent]:
             path = rng.choice(sorted(loaded))
             emit("unload", path=path)
             del loaded[path]
-            last_call = None
+            last_pair.clear()
         else:
             srcs = imap_addresses()
             if not srcs:
@@ -356,20 +357,22 @@ def random_trace(rng: random.Random, specs) -> list[TraceEvent]:
                     emit("return", src=src, dst=naive_stack.pop())
                 else:
                     emit("return", src=src, dst=rng.choice(srcs))
-            elif kind in ("indirect-call", "direct-call"):
-                # hot call sites repeat, which is what the fast path exists for
-                if kind == "indirect-call" and last_call and rng.random() < 0.5:
-                    src, dst = last_call
-                else:
-                    dst = rng.choice(srcs + [src + 1, 0x66660000])
+                continue
+            if kind in last_pair and rng.random() < 0.5:
+                # hot direct pairs repeat, which is what the memo exists for
+                src, dst = last_pair[kind]
+            elif kind.endswith("call"):
+                dst = rng.choice(srcs + [src + 1, 0x66660000])
+            else:
+                dst = rng.choice(srcs + [src + 1])
+            if kind.endswith("call"):
                 length = rng.choice([2, 3, 5])
                 emit(kind, src=src, dst=dst, length=length)
                 naive_stack.append(src + length)
-                if kind == "indirect-call":
-                    last_call = (src, dst)
             else:
-                dst = rng.choice(srcs + [src + 1])
                 emit(kind, src=src, dst=dst)
+            if kind.startswith("direct"):
+                last_pair[kind] = (src, dst)
     return events
 
 
@@ -381,11 +384,11 @@ def test_criterion_5_cache_transparency():
     for _ in range(500):
         images, sidecar, specs = build_trace_workspace(rng)
         events = random_trace(rng, specs)
-        with_cache = Replayer(ReplayConfig(sidecar=sidecar, cache_enabled=True),
-                              dict(images))
+        with_cache = Replayer(ReplayConfig(sidecar=sidecar), dict(images))
         r1 = with_cache.replay(events)
-        r2 = replay(events, ReplayConfig(sidecar=sidecar, cache_enabled=False),
-                    dict(images))
+        unmemoized = Replayer(ReplayConfig(sidecar=sidecar), dict(images))
+        unmemoized.cache = NeverHitMemo()
+        r2 = unmemoized.replay(events)
         assert r1.verdicts == r2.verdicts
         assert r1.to_json() == r2.to_json()
         if r1.dair.n:
@@ -395,10 +398,10 @@ def test_criterion_5_cache_transparency():
             assert 0 <= rec.allowed <= rec.universe
         total_hits += with_cache.cache.hits
         traces += 1
-    assert total_hits > 0, "cache never engaged; transparency test is vacuous"
+    assert total_hits > 0, "memo never engaged; transparency test is vacuous"
     elapsed = time.perf_counter() - t0
-    report_pass(5, "cached and uncached replays produce identical verdicts",
-                f"{traces} traces, {total_hits} cache hits", elapsed)
+    report_pass(5, "memoized and unmemoized direct checks produce identical "
+                "reports", f"{traces} traces, {total_hits} memo hits", elapsed)
 
 
 # ---------------------------------------------------------------------------

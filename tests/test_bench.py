@@ -1,8 +1,9 @@
 """The benchmark harness still runs against the engine it measures.
 
-``bench/`` wraps engine callables by name (``trace.check_jump``,
-``Replayer.cache.hits`` and others), so a signature change in ``src/``
-that breaks the harness fails here rather than in a benchmark run.
+``bench/`` wraps engine callables by name (``trace.check_jump`` and
+others) and reads the direct memo's counters as ``Replayer.cache.hits``
+and ``.misses``, so a signature change in ``src/`` that breaks the
+harness fails here rather than in a benchmark run.
 """
 
 import hashlib

@@ -55,10 +55,9 @@ def test_per_kind_decomposition():
         s = rng.randint(2, 10_000)
         t.record_transfer(rng.choice(["indirect-call", "indirect-jump", "return"]),
                           rng.randint(1, s), s, seq=i + 1)
-    per_kind = t.per_kind()
-    counts = t.kind_counts()
-    assert sum(counts.values()) == t.n
-    weighted = sum(per_kind[k] * counts[k] for k in counts if counts[k])
+    per_kind = t.finalize()["per_kind"]
+    assert sum(v["n"] for v in per_kind.values()) == t.n
+    weighted = sum(v["value"] * v["n"] for v in per_kind.values())
     assert abs(weighted / t.n - t.total()) < 1e-12
 
 

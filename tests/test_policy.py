@@ -1,4 +1,4 @@
-"""Policy decisions: rule checks, callback heuristics, fast-path cache."""
+"""Policy decisions: rule checks, callback heuristics, direct-transfer memo."""
 
 import pathlib
 import random
@@ -9,8 +9,10 @@ import oracle
 from strategies import (
     EXE_BASE,
     LIB_BASE,
+    NeverHitMemo,
     all_instruction_addresses,
     imap_for,
+    load_events,
     make_image,
     random_process,
     two_module_workspace,
@@ -18,10 +20,12 @@ from strategies import (
 from elf_corpus import CORPUS_NONSTRIPPED_32, CORPUS_STRIPPED_32
 
 from dyncfi import (
-    FastPathCache,
     FixtureSpec,
     ProcessImage,
+    ReplayConfig,
+    Replayer,
     SymbolSpec,
+    TraceEvent,
     check_call,
     check_jump,
     derive_instruction_map,
@@ -38,6 +42,7 @@ from dyncfi.policy import (
     RULE_JUMP_TAIL_CALL,
     RULE_VALID_INSTRUCTION,
 )
+from dyncfi.trace import DirectMemo
 
 
 def loaded_pair(allowlist=frozenset()):
@@ -56,7 +61,7 @@ def loaded_pair(allowlist=frozenset()):
 
 def test_call_to_imported_export_allowed():
     p, exe, lib = loaded_pair()
-    v = check_call(p, None, EXE_BASE + 0x1004, LIB_BASE + 0x1000)
+    v = check_call(p, EXE_BASE + 0x1004, LIB_BASE + 0x1000)
     assert v.allowed and v.rule == RULE_CALL_IMPORT
     assert v.target_set_size >= 1
 
@@ -64,7 +69,7 @@ def test_call_to_imported_export_allowed():
 def test_call_to_non_imported_export_denied():
     # exe imports foo but not bar: a call to bar must be denied
     p, exe, lib = loaded_pair()
-    v = check_call(p, None, EXE_BASE + 0x1004, LIB_BASE + 0x1040)
+    v = check_call(p, EXE_BASE + 0x1004, LIB_BASE + 0x1040)
     assert not v.allowed and v.rule == RULE_CALL_IMPORT
 
 
@@ -75,14 +80,14 @@ def test_intra_module_local_call_allowed_then_denied_when_stripped():
     p = ProcessImage()
     lib = p.load_module(images["libfoo.so"], LIB_BASE,
                         imap_for(specs["libfoo.so"], images["libfoo.so"], True))
-    v = check_call(p, None, LIB_BASE + 0x1004, helper)
+    v = check_call(p, LIB_BASE + 0x1004, helper)
     assert v.allowed and v.rule == RULE_CALL_LOCAL
 
     # the stripped twin with no boundary knowledge cannot verify helper
     p2 = ProcessImage()
     twin = images["libfoo.so"].stripped_twin()
     p2.load_module(twin, LIB_BASE, derive_instruction_map(twin))
-    v2 = check_call(p2, None, LIB_BASE + 0x1004, helper)
+    v2 = check_call(p2, LIB_BASE + 0x1004, helper)
     assert not v2.allowed and v2.rule == RULE_VALID_INSTRUCTION
 
 
@@ -104,7 +109,7 @@ def test_stripped_module_coarsens_to_section_granularity():
     t_twin = p_twin.call_target_set(twin.module_id)
     assert t_full < t_twin  # strict superset under stripping
 
-    v = check_call(p_twin, None, LIB_BASE + 0x1004, LIB_BASE + 0x1080)
+    v = check_call(p_twin, LIB_BASE + 0x1004, LIB_BASE + 0x1080)
     assert v.allowed and v.rule == RULE_CALL_LOCAL
     assert "section-granularity" in v.reason
 
@@ -114,29 +119,29 @@ def test_call_to_own_export_allowed_even_when_stripped():
     p = ProcessImage()
     twin = images["libfoo.so"].stripped_twin()
     p.load_module(twin, LIB_BASE, derive_instruction_map(twin))
-    v = check_call(p, None, LIB_BASE + 0x1004, LIB_BASE + 0x1040)  # bar
+    v = check_call(p, LIB_BASE + 0x1004, LIB_BASE + 0x1040)  # bar
     assert v.allowed and v.rule == RULE_CALL_LOCAL
 
 
 def test_call_mid_instruction_denied_rule_valid_instruction():
     p, exe, lib = loaded_pair()
-    v = check_call(p, None, EXE_BASE + 0x1004, LIB_BASE + 0x1001)
+    v = check_call(p, EXE_BASE + 0x1004, LIB_BASE + 0x1001)
     assert not v.allowed and v.rule == RULE_VALID_INSTRUCTION
 
 
 def test_call_outside_modules_denied():
     p, exe, lib = loaded_pair()
-    v = check_call(p, None, EXE_BASE + 0x1004, 0x66660000)
+    v = check_call(p, EXE_BASE + 0x1004, 0x66660000)
     assert not v.allowed and v.rule == RULE_VALID_INSTRUCTION
 
 
 def test_allowlist_grants_non_imported_call():
     p0, exe0, lib0 = loaded_pair()
     bar = LIB_BASE + 0x1040
-    assert not check_call(p0, None, EXE_BASE + 0x1004, bar).allowed
+    assert not check_call(p0, EXE_BASE + 0x1004, bar).allowed
 
     p, exe, lib = loaded_pair(allowlist=frozenset({("app", "bar")}))
-    v = check_call(p, None, EXE_BASE + 0x1004, bar)
+    v = check_call(p, EXE_BASE + 0x1004, bar)
     assert v.allowed
     assert "allowlist" in v.reason
     # and the allowed set grew by exactly that grant
@@ -332,7 +337,7 @@ def test_admitted_callback_is_callable_from_any_module():
     epoch_before = p.epoch
     admitted = p.admit_callbacks(scan_callbacks(p, lm))
     assert admitted == 1 and p.epoch == epoch_before + 1
-    v = check_call(p, None, EXE_BASE + 0x1004, helper)
+    v = check_call(p, EXE_BASE + 0x1004, helper)
     assert v.allowed and v.rule == RULE_CALLBACK
 
 
@@ -490,52 +495,71 @@ def test_scan_matches_brute_force_oracle_on_corpus():
 
 
 # ---------------------------------------------------------------------------
-# Fast-path cache
+# Direct-transfer memo
 # ---------------------------------------------------------------------------
 
 def test_cache_hit_same_epoch_and_invalidation_on_epoch_bump():
+    """A verdict is reused within its epoch; a load, a callback admission
+    and an unload each drop it."""
     p, exe, lib = loaded_pair()
-    cache = FastPathCache()
+    memo = DirectMemo()
     src, dst = EXE_BASE + 0x1004, LIB_BASE + 0x1000
-    v1 = check_call(p, cache, src, dst)
-    assert cache.misses == 1 and cache.hits == 0 and len(cache) == 1
-    v2 = check_call(p, cache, src, dst)
-    assert cache.hits == 1
-    assert v1 == v2
-
+    key = ("direct-call", src, dst)
     extra = FixtureSpec(path="liby.so", code=b"\x90" * 0x40,
                         symbols=(SymbolSpec("y", 0x1000, 0x10),))
     yimg = make_image(extra)
-    p.load_module(yimg, 0x50000000, derive_instruction_map(yimg))
-    v3 = check_call(p, cache, src, dst)
-    assert cache.misses == 2  # epoch bump dropped the entry
-    assert (v3.decision, v3.rule) == (v1.decision, v1.rule)
+    changes = {
+        "load": lambda: p.load_module(yimg, 0x50000000,
+                                      derive_instruction_map(yimg)),
+        "callback admission": lambda: p.admit_callbacks(
+            [CallbackFinding(LIB_BASE + 0x1040, "data-scan", exe.module_id)]),
+        "unload": lambda: p.unload_module("liby.so@0x50000000"),
+    }
+    verdict = check_call(p, src, dst)
+    assert memo.lookup(key, p.epoch) is None
+    for what, change in changes.items():
+        memo.insert(key, verdict)
+        assert memo.lookup(key, p.epoch) == verdict
+        epoch = p.epoch
+        change()
+        assert p.epoch != epoch, what
+        assert memo.lookup(key, p.epoch) is None, what
+    assert (memo.hits, memo.misses) == (3, 4)
 
 
 def test_cache_lookup_never_inserted_pair_misses():
-    cache = FastPathCache()
-    assert cache.lookup(("m", 1, "call"), epoch=0) is None
-    assert cache.misses == 1
+    memo = DirectMemo()
+    assert memo.lookup(("direct-call", 1, 2), epoch=0) is None
+    assert (memo.hits, memo.misses) == (0, 1)
 
 
 def test_cache_transparency_on_fixture_pair():
-    p, exe, lib = loaded_pair()
-    cache = FastPathCache()
-    queries = [(EXE_BASE + 0x1004, LIB_BASE + 0x1000),
-               (EXE_BASE + 0x1004, LIB_BASE + 0x1040),
-               (LIB_BASE + 0x1004, LIB_BASE + 0x1080),
-               (EXE_BASE + 0x1004, LIB_BASE + 0x1000)]
-    with_cache = [check_call(p, cache, s, d) for s, d in queries]
-    without = [check_call(p, None, s, d) for s, d in queries]
-    assert with_cache == without
-    assert cache.hits >= 1
+    """Repeated direct pairs hit the memo and replay exactly as when every
+    direct event is checked."""
+    _specs, images, sidecar = two_module_workspace()
+    exe_src, lib_src = EXE_BASE + 0x1004, LIB_BASE + 0x1004
+    events = load_events()
+    for kind, src, dst in [("direct-call", exe_src, LIB_BASE + 0x1000),
+                           ("direct-call", exe_src, LIB_BASE + 0x1040),
+                           ("direct-jump", lib_src, LIB_BASE + 0x1080),
+                           ("direct-call", exe_src, LIB_BASE + 0x1000),
+                           ("direct-jump", lib_src, LIB_BASE + 0x1080)]:
+        events.append(TraceEvent(seq=len(events) + 1, tid=0, kind=kind,
+                                 src=src, dst=dst,
+                                 length=5 if kind == "direct-call" else None))
+    memoized = Replayer(ReplayConfig(sidecar=sidecar), dict(images))
+    checked = Replayer(ReplayConfig(sidecar=sidecar), dict(images))
+    checked.cache = NeverHitMemo()
+    assert memoized.replay(events).to_json() == checked.replay(events).to_json()
+    assert (memoized.cache.hits, memoized.cache.misses) == (2, 3)
+    assert (checked.cache.hits, checked.cache.misses) == (0, 5)
 
 
 def test_denial_stability_within_epoch():
     p, exe, lib = loaded_pair()
     bar = LIB_BASE + 0x1040
-    v1 = check_call(p, None, EXE_BASE + 0x1004, bar)
-    v2 = check_call(p, None, EXE_BASE + 0x1004, bar)
+    v1 = check_call(p, EXE_BASE + 0x1004, bar)
+    v2 = check_call(p, EXE_BASE + 0x1004, bar)
     assert v1 == v2 and not v1.allowed
 
 
@@ -547,7 +571,7 @@ def test_interposition_reports_call_local():
     img = make_image(spec)
     p = ProcessImage()
     lm = p.load_module(img, LIB_BASE, derive_instruction_map(img))
-    v = check_call(p, None, LIB_BASE + 0x1000, LIB_BASE + 0x1000)
+    v = check_call(p, LIB_BASE + 0x1000, LIB_BASE + 0x1000)
     assert v.allowed and v.rule == RULE_CALL_LOCAL
 
 
@@ -580,7 +604,7 @@ def test_duplicate_exporters_grant_both_addresses():
             "locals": [], "imports": list(spec.imports)})
     desc = {"modules": descs, "callbacks": [], "allowlist": []}
     for dst in (0x40000000 + 0x1000, 0x41000000 + 0x1008):
-        ev = check_call(p, None, EXE_BASE + 0x1000, dst)
+        ev = check_call(p, EXE_BASE + 0x1000, dst)
         ov = oracle_mod.check_call(desc, EXE_BASE + 0x1000, dst)
         assert ev.allowed and ov["decision"] == "allow"
         assert ev.target_set_size == ov["size"]
@@ -597,7 +621,7 @@ def test_engine_matches_brute_force_oracle_on_random_images():
         addrs = all_instruction_addresses(p)
         for src in addrs:
             for dst in addrs:
-                ev = check_call(p, None, src, dst)
+                ev = check_call(p, src, dst)
                 ov = oracle.check_call(desc, src, dst)
                 assert (ev.decision, ev.target_set_size) == \
                     (ov["decision"], ov["size"]), (hex(src), hex(dst))

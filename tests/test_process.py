@@ -382,10 +382,10 @@ def test_unload_keeps_callback_a_surviving_finding_names():
     p.admit_callbacks([CallbackFinding(bar, "data-scan", exe.module_id),
                        CallbackFinding(bar, "data-scan", other.module_id)])
     p.unload_module(other.module_id)
-    assert "*" in p.table.scopes(bar)
+    assert bar in p.table.callbacks
     assert p.table == p.rebuild_table()
     p.unload_module(exe.module_id)
-    assert "*" not in p.table.scopes(bar)
+    assert bar not in p.table.callbacks
     assert bar not in {f.address for f in p.callback_findings}
     assert p.table == p.rebuild_table()
 

@@ -11,18 +11,23 @@ from strategies import (
     EXE_BASE,
     LIB_BASE,
     load_events,
+    make_image,
     renumber,
     two_module_workspace,
 )
 
 from dyncfi import (
+    FixtureSpec,
     MutationError,
     MutationSpec,
+    ProcessImage,
     ReplayConfig,
     Replayer,
     SidecarError,
+    SymbolSpec,
     TraceError,
     TraceEvent,
+    derive_instruction_map,
     events_to_jsonl,
     generate_adversarial_trace,
     load_sidecar,
@@ -135,7 +140,7 @@ def test_clean_replay_two_allows():
     config, images = workspace_config()
     report = replay(clean_events(), config, images)
     assert report.clean
-    assert report.allows == 2
+    assert report.to_dict()["summary"]["allows"] == 2
     assert report.kind_counts["indirect-call"] == 1
     assert report.dair.n == 2
 
@@ -266,6 +271,37 @@ def test_plt_call_through_self_interposable_stub():
     assert report.clean
     assert report.verdicts[-1].rule == "plt-direct"
     assert hex(base + img.export_value("corpus_add")) in report.verdicts[-1].reason
+
+
+def test_plt_call_through_interposed_self_export():
+    # An earlier-loaded module exporting corpus_add interposes on the
+    # corpus's own definition: corpus_add@plt resolves to it, and the
+    # stub's symbol grants that address like an import would.
+    corpus = parse_module(open(CORPUS_NONSTRIPPED_32, "rb").read(),
+                          "libcorpus32.so")
+    interp = make_image(FixtureSpec(
+        path="interp.so", code=b"\x90" * 0x40,
+        symbols=(SymbolSpec("corpus_add", 0x1000, 0x10),)))
+    modules = {"interp.so": interp, "libcorpus32.so": corpus}
+    bases = {"interp.so": 0x20000000, "libcorpus32.so": 0x30000000}
+    events = [
+        TraceEvent(seq=1, tid=0, kind="load", path="interp.so",
+                   base=bases["interp.so"]),
+        TraceEvent(seq=2, tid=0, kind="load", path="libcorpus32.so",
+                   base=bases["libcorpus32.so"]),
+        TraceEvent(seq=3, tid=0, kind="plt-call",
+                   src=0x30000000 + corpus.export_value("corpus_weak"),
+                   dst=0x30000000 + 0x1010, length=5)]
+    report = replay(events, modules=modules)
+    assert report.clean
+    assert report.verdicts[-1].rule == "plt-direct"
+    assert "0x20001000" in report.verdicts[-1].reason
+    for order in (["interp.so", "libcorpus32.so"], ["libcorpus32.so", "interp.so"]):
+        p = ProcessImage()
+        for path in order:
+            img = modules[path]
+            p.load_module(img, bases[path], derive_instruction_map(img))
+        assert p.table == p.rebuild_table(), order
 
 
 # ---------------------------------------------------------------------------
