@@ -191,8 +191,8 @@ def _cmd_dair(args: argparse.Namespace) -> int:
     report = replayer.replay(events)
     out: dict = {"dair": report.dair.to_report_dict()}
     if report.dair.n:
-        out["summary"] = report.dair.finalize()
-        del out["summary"]["series"]
+        summary = out["summary"] = report.dair.finalize()
+        del summary["series"]
     else:
         print("no indirect transfers in trace (no DAIR to report)")
 
@@ -200,9 +200,9 @@ def _cmd_dair(args: argparse.Namespace) -> int:
         stripped_modules = {path: img.stripped_twin()
                             for path, img in replayer.modules.items()}
         twin_report = Replayer(config, stripped_modules).replay(events)
-        out["stripped_twin"] = twin_report.dair.to_report_dict()
+        twin = out["stripped_twin"] = twin_report.dair.to_report_dict()
         if report.dair.n and twin_report.dair.n:
-            full_v, twin_v = report.dair.total(), twin_report.dair.total()
+            full_v, twin_v = summary["total"], twin["total"]
             relation = ">=" if full_v >= twin_v else "<"
             print(f"DAIR full={full_v:.6f} stripped={twin_v:.6f} "
                   f"(full {relation} stripped)")
@@ -211,7 +211,6 @@ def _cmd_dair(args: argparse.Namespace) -> int:
     if args.csv:
         Path(args.csv).write_text(report.dair.csv_series())
     if report.dair.n:
-        summary = report.dair.finalize()
         per_kind = ", ".join(f"{k}={v['pct']}" for k, v in summary["per_kind"].items())
         print(f"DAIR total {summary['total_pct']} over n={summary['n']} ({per_kind})")
     return EXIT_CLEAN

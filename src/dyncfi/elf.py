@@ -165,7 +165,6 @@ class ModuleImage:
     sections: tuple[Section, ...]
     symbols: tuple[SymbolRecord, ...]
     imports: tuple[str, ...]
-    exports: tuple[str, ...]
     plt_entries: tuple[PltEntry, ...]
     relocations: tuple[RelocationRecord, ...]
     stripped: bool
@@ -202,6 +201,19 @@ class ModuleImage:
     def export_records(self) -> tuple[SymbolRecord, ...]:
         return tuple(s for s in self.symbols if s.origin == "dynsym"
                      and s.visibility == "exported")
+
+    @cached_property
+    def export_values(self) -> dict[str, int]:
+        """Exported name -> value of its first export record, in table order."""
+        values: dict[str, int] = {}
+        for r in self.export_records:
+            values.setdefault(r.name, r.value)
+        return values
+
+    @cached_property
+    def exports(self) -> tuple[str, ...]:
+        """Exported names, each once, in table order."""
+        return tuple(self.export_values)
 
     @cached_property
     def export_function_starts(self) -> frozenset[int]:
@@ -299,10 +311,7 @@ class ModuleImage:
         return {}
 
     def export_value(self, name: str) -> int | None:
-        for s in self.export_records:
-            if s.name == name:
-                return s.value
-        return None
+        return self.export_values.get(name)
 
     def stripped_twin(self) -> "ModuleImage":
         """The same module with its full symbol table removed."""
@@ -466,16 +475,15 @@ def _parse(data: bytes, path: str, *, is64: bool) -> ModuleImage:
         return b""
 
     def read_symbols(table_idx: int, origin: str
-                     ) -> tuple[list[SymbolRecord], list[str], list[str], list[str]]:
-        """Returns (defined records, import names, export name order,
-        every entry's name by symbol index)."""
+                     ) -> tuple[list[SymbolRecord], list[str], list[str]]:
+        """Returns (defined records, import names, every entry's name by
+        symbol index)."""
         h = headers[table_idx]
         strtab = strtab_for(h["link"])
         raw = section_bytes(h, names[table_idx])
         count = len(raw) // sym_size
         records: list[SymbolRecord] = []
         und: list[str] = []
-        order: list[str] = []
         by_index: list[str] = [""]
         for i in range(1, count):  # entry 0 is the null symbol
             f = struct.unpack_from(sym_fmt, raw, i * sym_size)
@@ -504,24 +512,20 @@ def _parse(data: bytes, path: str, *, is64: bool) -> ModuleImage:
                 visibility="exported" if exported else "hidden",
                 origin=origin,
             ))
-            if exported:
-                order.append(name)
-        return records, und, order, by_index
+        return records, und, by_index
 
     symbols: list[SymbolRecord] = []
     imports: list[str] = []
-    exports: list[str] = []
     dyn_names: list[str] = [""]  # relocation symbol lookup, by index
     for i, h in enumerate(headers):
         if h["type"] == SHT_DYNSYM:
-            recs, und, order, dyn_names = read_symbols(i, "dynsym")
+            recs, und, dyn_names = read_symbols(i, "dynsym")
             symbols.extend(recs)
             imports.extend(und)
-            exports.extend(order)
     has_symtab_records = False
     for i, h in enumerate(headers):
         if h["type"] == SHT_SYMTAB:
-            recs, _und, _order, _names = read_symbols(i, "symtab")
+            recs, _und, _names = read_symbols(i, "symtab")
             if recs:
                 has_symtab_records = True
             symbols.extend(recs)
@@ -571,7 +575,6 @@ def _parse(data: bytes, path: str, *, is64: bool) -> ModuleImage:
         sections=tuple(sections),
         symbols=tuple(symbols),
         imports=tuple(dict.fromkeys(imports)),
-        exports=tuple(dict.fromkeys(exports)),
         plt_entries=tuple(plt_entries),
         relocations=tuple(relocations),
         stripped=not has_symtab_records,

@@ -54,11 +54,8 @@ class Verdict:
         return self.decision == ALLOW
 
 
-def check_call(p: ProcessImage, src: int, dst: int) -> Verdict:
-    """Validate a call transfer; the caller guarantees src is mapped."""
-    src_mod = p.exec_module_at(src)
-    assert src_mod is not None, "caller must reject unmapped sources"
-
+def check_call(p: ProcessImage, src_mod: LoadedModule, dst: int) -> Verdict:
+    """Validate a call from ``src_mod``, the module mapping its source."""
     targets = p.call_target_set(src_mod.module_id)
     size = len(targets)
     dst_mod = p.exec_module_at(dst)
@@ -97,12 +94,11 @@ def _allow_rule(p: ProcessImage, src_mod: LoadedModule,
     return RULE_CALL_IMPORT, f"allowlisted target {hex(dst)}"
 
 
-def check_jump(p: ProcessImage, src: int, dst: int) -> Verdict:
-    """Validate a jump transfer (intra-function or tail call)."""
-    src_mod = p.exec_module_at(src)
-    assert src_mod is not None, "caller must reject unmapped sources"
-
-    extent = p.function_extent(src)
+def check_jump(p: ProcessImage, src_mod: LoadedModule, src: int,
+               dst: int) -> Verdict:
+    """Validate a jump from ``src`` in ``src_mod`` (intra-function or tail
+    call)."""
+    extent = p.function_extent(src_mod, src)
     call_targets = p.call_target_set(src_mod.module_id)
     size = len(call_targets)
     if extent is not None:

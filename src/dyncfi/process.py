@@ -223,7 +223,7 @@ class ProcessImage:
     def resolve_import(self, name: str) -> LoadedModule | None:
         """First-loaded exporter of ``name`` (load-order resolution)."""
         for lm in self.loaded.values():
-            if name in lm.module.exports:
+            if name in lm.module.export_values:
                 return lm
         return None
 
@@ -235,18 +235,17 @@ class ProcessImage:
             out[name] = exporter.module_id if exporter else None
         return out
 
-    def function_extent(self, addr: int) -> tuple[int, int] | None:
-        """Enclosing function interval, or the section granule carved by
-        known symbol starts when precise intervals are unavailable.
+    def function_extent(self, lm: LoadedModule,
+                        addr: int) -> tuple[int, int] | None:
+        """Interval of the function enclosing ``addr`` in ``lm``, or the
+        section granule carved by known symbol starts when precise
+        intervals are unavailable; ``None`` outside executable sections.
 
         Non-stripped modules use symbol value+size intervals, falling back
         to granules bounded by all known function starts.  Stripped
         modules only know exported starts, so the granule degrades to
         section/exported-symbol granularity.
         """
-        lm = self.exec_module_at(addr)
-        if lm is None:
-            return None
         off = addr - lm.base
         mod = lm.module
         if not mod.stripped:

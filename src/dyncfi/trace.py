@@ -41,7 +41,7 @@ from .policy import (
     check_jump,
     scan_callbacks,
 )
-from .process import ADDRESS_LIMIT, ProcessImage
+from .process import ADDRESS_LIMIT, LoadedModule, ProcessImage
 from .shadow import ShadowStack
 
 EVENT_KINDS = frozenset({
@@ -86,7 +86,7 @@ class TraceEvent:
         return out
 
 
-def parse_trace(source: str | bytes | list[str]) -> list[TraceEvent]:
+def parse_trace(source: str | bytes) -> list[TraceEvent]:
     """Parse a trace; every line yields an event or a positioned error."""
     if isinstance(source, bytes):
         try:
@@ -94,11 +94,10 @@ def parse_trace(source: str | bytes | list[str]) -> list[TraceEvent]:
         except UnicodeDecodeError as exc:
             raise TraceError("malformed-trace",
                              f"not UTF-8 text: {exc.reason}") from None
-    # Only "\n" ends a line: JSON allows U+2028 and friends raw in strings.
-    lines = source.split("\n") if isinstance(source, str) else list(source)
     events: list[TraceEvent] = []
     last_seq = 0
-    for lineno, line in enumerate(lines, start=1):
+    # Only "\n" ends a line: JSON allows U+2028 and friends raw in strings.
+    for lineno, line in enumerate(source.split("\n"), start=1):
         line = line.strip()
         if not line:
             continue
@@ -247,8 +246,8 @@ class EnforcementReport:
             "epochs": self.epochs,
         }
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 class DirectMemo:
@@ -342,7 +341,7 @@ class Replayer:
             self._universe_cache = (self.process.epoch, s)
         return self._universe_cache[1]
 
-    def _require_mapped(self, addr: int, what: str, seq: int):
+    def _require_mapped(self, addr: int, what: str, seq: int) -> LoadedModule:
         lm = self.process.exec_module_at(addr)
         if lm is None:
             raise TraceError("address-outside-modules",
@@ -430,19 +429,19 @@ class Replayer:
         if kind == "return":
             verdict = self._shadow(event.tid).pop_and_check(event.dst)
         elif kind == "indirect-call":
-            verdict = check_call(p, event.src, event.dst)
+            verdict = check_call(p, src_mod, event.dst)
         elif kind == "indirect-jump":
-            verdict = check_jump(p, event.src, event.dst)
+            verdict = check_jump(p, src_mod, event.src, event.dst)
         else:
             key = (kind, event.src, event.dst)
             verdict = self.cache.lookup(key, p.epoch)
             if verdict is None:
                 if kind == "direct-call":
-                    verdict = check_call(p, event.src, event.dst)
+                    verdict = check_call(p, src_mod, event.dst)
                 elif kind == "direct-jump":
-                    verdict = check_jump(p, event.src, event.dst)
+                    verdict = check_jump(p, src_mod, event.src, event.dst)
                 else:
-                    verdict = self._check_plt_call(src_mod.module_id, event)
+                    verdict = self._check_plt_call(src_mod, event)
                 self.cache.insert(key, verdict)
         self._record(report, event, verdict)
         if kind in dair_mod.TRANSFER_KINDS:
@@ -452,11 +451,11 @@ class Replayer:
         if kind in CALL_KINDS:
             self._shadow(event.tid).push_call(event.src, event.src + event.length)
 
-    def _check_plt_call(self, module_id: str, event: TraceEvent) -> Verdict:
-        p = self.process
-        lm = p.loaded[module_id]
-        off = event.dst - lm.base
-        if not any(e.address == off for e in lm.module.plt_entries):
+    def _check_plt_call(self, src_mod: LoadedModule,
+                        event: TraceEvent) -> Verdict:
+        p, module_id = self.process, src_mod.module_id
+        off = event.dst - src_mod.base
+        if not any(e.address == off for e in src_mod.module.plt_entries):
             raise TraceError("address-outside-modules",
                              f"{hex(event.dst)} is not a PLT entry of "
                              f"{module_id}", seq=event.seq)
@@ -465,7 +464,7 @@ class Replayer:
         except ResolutionError as exc:
             return Verdict(DENY, RULE_PLT_DIRECT, exc.message,
                            len(p.call_target_set(module_id)))
-        verdict = check_call(p, event.src, target)
+        verdict = check_call(p, src_mod, target)
         if verdict.allowed:
             return Verdict(ALLOW, RULE_PLT_DIRECT,
                            f"PLT entry {hex(event.dst)} inlined to "
@@ -604,7 +603,7 @@ def _mutated_target(kind: str, p: ProcessImage, src_mod, victim: TraceEvent) -> 
                             "no cross-module non-target instruction available")
 
     # tailcall: entry of a function the source module imports.
-    extent = p.function_extent(victim.src)
+    extent = p.function_extent(src_mod, victim.src)
     for name in src_mod.module.imports:
         exporter = p.resolve_import(name)
         if exporter is None or exporter.module_id == src_mod.module_id:

@@ -71,15 +71,16 @@ def test_criterion_1_rule_oracle_equivalence():
         images += 1
         addrs = all_instruction_addresses(p)
         for src in addrs:
+            src_mod = p.exec_module_at(src)
             for dst in addrs:
-                ev = check_call(p, src, dst)
+                ev = check_call(p, src_mod, dst)
                 ov = oracle.check_call(desc, src, dst)
                 assert (ev.decision, ev.target_set_size) == \
                     (ov["decision"], ov["size"]), \
                     f"call {hex(src)}->{hex(dst)}"
                 if ev.allowed:
                     assert ev.rule == ov["rule"], f"call {hex(src)}->{hex(dst)}"
-                ej = check_jump(p, src, dst)
+                ej = check_jump(p, src_mod, src, dst)
                 oj = oracle.check_jump(desc, src, dst)
                 assert (ej.decision, ej.target_set_size) == \
                     (oj["decision"], oj["size"]), \

@@ -61,7 +61,7 @@ def loaded_pair(allowlist=frozenset()):
 
 def test_call_to_imported_export_allowed():
     p, exe, lib = loaded_pair()
-    v = check_call(p, EXE_BASE + 0x1004, LIB_BASE + 0x1000)
+    v = check_call(p, exe, LIB_BASE + 0x1000)
     assert v.allowed and v.rule == RULE_CALL_IMPORT
     assert v.target_set_size >= 1
 
@@ -69,7 +69,7 @@ def test_call_to_imported_export_allowed():
 def test_call_to_non_imported_export_denied():
     # exe imports foo but not bar: a call to bar must be denied
     p, exe, lib = loaded_pair()
-    v = check_call(p, EXE_BASE + 0x1004, LIB_BASE + 0x1040)
+    v = check_call(p, exe, LIB_BASE + 0x1040)
     assert not v.allowed and v.rule == RULE_CALL_IMPORT
 
 
@@ -80,14 +80,14 @@ def test_intra_module_local_call_allowed_then_denied_when_stripped():
     p = ProcessImage()
     lib = p.load_module(images["libfoo.so"], LIB_BASE,
                         imap_for(specs["libfoo.so"], images["libfoo.so"], True))
-    v = check_call(p, LIB_BASE + 0x1004, helper)
+    v = check_call(p, lib, helper)
     assert v.allowed and v.rule == RULE_CALL_LOCAL
 
     # the stripped twin with no boundary knowledge cannot verify helper
     p2 = ProcessImage()
     twin = images["libfoo.so"].stripped_twin()
     p2.load_module(twin, LIB_BASE, derive_instruction_map(twin))
-    v2 = check_call(p2, LIB_BASE + 0x1004, helper)
+    v2 = check_call(p2, p2.exec_module_at(LIB_BASE + 0x1004), helper)
     assert not v2.allowed and v2.rule == RULE_VALID_INSTRUCTION
 
 
@@ -109,7 +109,7 @@ def test_stripped_module_coarsens_to_section_granularity():
     t_twin = p_twin.call_target_set(twin.module_id)
     assert t_full < t_twin  # strict superset under stripping
 
-    v = check_call(p_twin, LIB_BASE + 0x1004, LIB_BASE + 0x1080)
+    v = check_call(p_twin, twin, LIB_BASE + 0x1080)
     assert v.allowed and v.rule == RULE_CALL_LOCAL
     assert "section-granularity" in v.reason
 
@@ -119,29 +119,29 @@ def test_call_to_own_export_allowed_even_when_stripped():
     p = ProcessImage()
     twin = images["libfoo.so"].stripped_twin()
     p.load_module(twin, LIB_BASE, derive_instruction_map(twin))
-    v = check_call(p, LIB_BASE + 0x1004, LIB_BASE + 0x1040)  # bar
+    v = check_call(p, p.exec_module_at(LIB_BASE + 0x1004), LIB_BASE + 0x1040)  # bar
     assert v.allowed and v.rule == RULE_CALL_LOCAL
 
 
 def test_call_mid_instruction_denied_rule_valid_instruction():
     p, exe, lib = loaded_pair()
-    v = check_call(p, EXE_BASE + 0x1004, LIB_BASE + 0x1001)
+    v = check_call(p, exe, LIB_BASE + 0x1001)
     assert not v.allowed and v.rule == RULE_VALID_INSTRUCTION
 
 
 def test_call_outside_modules_denied():
     p, exe, lib = loaded_pair()
-    v = check_call(p, EXE_BASE + 0x1004, 0x66660000)
+    v = check_call(p, exe, 0x66660000)
     assert not v.allowed and v.rule == RULE_VALID_INSTRUCTION
 
 
 def test_allowlist_grants_non_imported_call():
     p0, exe0, lib0 = loaded_pair()
     bar = LIB_BASE + 0x1040
-    assert not check_call(p0, EXE_BASE + 0x1004, bar).allowed
+    assert not check_call(p0, exe0, bar).allowed
 
     p, exe, lib = loaded_pair(allowlist=frozenset({("app", "bar")}))
-    v = check_call(p, EXE_BASE + 0x1004, bar)
+    v = check_call(p, exe, bar)
     assert v.allowed
     assert "allowlist" in v.reason
     # and the allowed set grew by exactly that grant
@@ -155,19 +155,19 @@ def test_allowlist_grants_non_imported_call():
 
 def test_jump_within_function_allowed():
     p, exe, lib = loaded_pair()
-    v = check_jump(p, EXE_BASE + 0x1004, EXE_BASE + 0x1010)
+    v = check_jump(p, exe, EXE_BASE + 0x1004, EXE_BASE + 0x1010)
     assert v.allowed and v.rule == RULE_JUMP_INTRA
 
 
 def test_jump_as_tail_call_to_import_allowed():
     p, exe, lib = loaded_pair()
-    v = check_jump(p, EXE_BASE + 0x1004, LIB_BASE + 0x1000)
+    v = check_jump(p, exe, EXE_BASE + 0x1004, LIB_BASE + 0x1000)
     assert v.allowed and v.rule == RULE_JUMP_TAIL_CALL
 
 
 def test_jump_mid_instruction_denied():
     p, exe, lib = loaded_pair()
-    v = check_jump(p, EXE_BASE + 0x1004, EXE_BASE + 0x1011)
+    v = check_jump(p, exe, EXE_BASE + 0x1004, EXE_BASE + 0x1011)
     assert not v.allowed and v.rule == RULE_VALID_INSTRUCTION
 
 
@@ -178,20 +178,20 @@ def test_jump_escaping_function_denied_intra_rule():
     lib = p.load_module(images["libfoo.so"], LIB_BASE,
                         imap_for(specs["libfoo.so"], images["libfoo.so"], True))
     # src inside foo; dst = instruction inside bar's body (not a start)
-    v = check_jump(p, LIB_BASE + 0x1004, LIB_BASE + 0x1044)
+    v = check_jump(p, lib, LIB_BASE + 0x1004, LIB_BASE + 0x1044)
     assert not v.allowed and v.rule == RULE_JUMP_INTRA
 
 
 def test_jump_cross_module_non_target_denied_tail_rule():
     p, exe, lib = loaded_pair()
     # instruction inside lib's foo body, not a function start
-    v = check_jump(p, EXE_BASE + 0x1004, LIB_BASE + 0x1004)
+    v = check_jump(p, exe, EXE_BASE + 0x1004, LIB_BASE + 0x1004)
     assert not v.allowed and v.rule == RULE_JUMP_TAIL_CALL
 
 
 def test_jump_target_set_counts_extent_and_call_targets():
     p, exe, lib = loaded_pair()
-    v = check_jump(p, EXE_BASE + 0x1004, EXE_BASE + 0x1010)
+    v = check_jump(p, exe, EXE_BASE + 0x1004, EXE_BASE + 0x1010)
     # main's extent [0x1000,0x1040) holds offsets {1000,1004,1008,1010};
     # call targets: main, start, foo -- 0x1000 overlaps, union = 6
     assert v.target_set_size == 6
@@ -219,7 +219,7 @@ def test_jump_walks_each_extent_once_per_epoch(monkeypatch):
         for _round in range(2):
             for src in addrs:
                 for dst in addrs[::3]:
-                    size = check_jump(p, src, dst).target_set_size
+                    size = check_jump(p, p.exec_module_at(src), src, dst).target_set_size
                     assert size == oracle.check_jump(desc, src, dst)["size"]
                     jumps += 1
             # A new epoch re-counts: a callback inside a function turns one
@@ -337,7 +337,7 @@ def test_admitted_callback_is_callable_from_any_module():
     epoch_before = p.epoch
     admitted = p.admit_callbacks(scan_callbacks(p, lm))
     assert admitted == 1 and p.epoch == epoch_before + 1
-    v = check_call(p, EXE_BASE + 0x1004, helper)
+    v = check_call(p, exe, helper)
     assert v.allowed and v.rule == RULE_CALLBACK
 
 
@@ -515,7 +515,7 @@ def test_cache_hit_same_epoch_and_invalidation_on_epoch_bump():
             [CallbackFinding(LIB_BASE + 0x1040, "data-scan", exe.module_id)]),
         "unload": lambda: p.unload_module("liby.so@0x50000000"),
     }
-    verdict = check_call(p, src, dst)
+    verdict = check_call(p, exe, dst)
     assert memo.lookup(key, p.epoch) is None
     for what, change in changes.items():
         memo.insert(key, verdict)
@@ -558,8 +558,8 @@ def test_cache_transparency_on_fixture_pair():
 def test_denial_stability_within_epoch():
     p, exe, lib = loaded_pair()
     bar = LIB_BASE + 0x1040
-    v1 = check_call(p, EXE_BASE + 0x1004, bar)
-    v2 = check_call(p, EXE_BASE + 0x1004, bar)
+    v1 = check_call(p, exe, bar)
+    v2 = check_call(p, exe, bar)
     assert v1 == v2 and not v1.allowed
 
 
@@ -571,7 +571,7 @@ def test_interposition_reports_call_local():
     img = make_image(spec)
     p = ProcessImage()
     lm = p.load_module(img, LIB_BASE, derive_instruction_map(img))
-    v = check_call(p, LIB_BASE + 0x1000, LIB_BASE + 0x1000)
+    v = check_call(p, lm, LIB_BASE + 0x1000)
     assert v.allowed and v.rule == RULE_CALL_LOCAL
 
 
@@ -604,7 +604,7 @@ def test_duplicate_exporters_grant_both_addresses():
             "locals": [], "imports": list(spec.imports)})
     desc = {"modules": descs, "callbacks": [], "allowlist": []}
     for dst in (0x40000000 + 0x1000, 0x41000000 + 0x1008):
-        ev = check_call(p, EXE_BASE + 0x1000, dst)
+        ev = check_call(p, p.exec_module_at(EXE_BASE + 0x1000), dst)
         ov = oracle_mod.check_call(desc, EXE_BASE + 0x1000, dst)
         assert ev.allowed and ov["decision"] == "allow"
         assert ev.target_set_size == ov["size"]
@@ -620,14 +620,15 @@ def test_engine_matches_brute_force_oracle_on_random_images():
         p, desc, _gen = random_process(rng)
         addrs = all_instruction_addresses(p)
         for src in addrs:
+            src_mod = p.exec_module_at(src)
             for dst in addrs:
-                ev = check_call(p, src, dst)
+                ev = check_call(p, src_mod, dst)
                 ov = oracle.check_call(desc, src, dst)
                 assert (ev.decision, ev.target_set_size) == \
                     (ov["decision"], ov["size"]), (hex(src), hex(dst))
                 if ev.allowed:
                     assert ev.rule == ov["rule"], (hex(src), hex(dst))
-                ej = check_jump(p, src, dst)
+                ej = check_jump(p, src_mod, src, dst)
                 oj = oracle.check_jump(desc, src, dst)
                 assert (ej.decision, ej.target_set_size) == \
                     (oj["decision"], oj["size"]), (hex(src), hex(dst))

@@ -253,8 +253,8 @@ def test_unresolved_imports_tolerated_until_used():
 
 def test_extent_inside_function_interval():
     p, exe, lib = load_pair()
-    assert p.function_extent(LIB_BASE + 0x1010) == (LIB_BASE + 0x1000,
-                                                    LIB_BASE + 0x1030)
+    assert p.function_extent(lib, LIB_BASE + 0x1010) == (LIB_BASE + 0x1000,
+                                                         LIB_BASE + 0x1030)
 
 
 def test_extent_in_stripped_module_is_export_granule():
@@ -263,17 +263,29 @@ def test_extent_in_stripped_module_is_export_granule():
     twin = images["libfoo.so"].stripped_twin()
     lm = p.load_module(twin, LIB_BASE, derive_instruction_map(twin))
     # between bar (0x1040) and section end: the granule spans from bar on
-    lo, hi = p.function_extent(LIB_BASE + 0x1090)
+    lo, hi = p.function_extent(lm, LIB_BASE + 0x1090)
     assert lo == LIB_BASE + 0x1040
     assert hi == LIB_BASE + 0x1200  # section end
     # before any export: granule runs from section start
-    lo2, hi2 = p.function_extent(LIB_BASE + 0x1035)
+    lo2, hi2 = p.function_extent(lm, LIB_BASE + 0x1035)
     assert (lo2, hi2) == (LIB_BASE + 0x1000, LIB_BASE + 0x1040)
 
 
-def test_extent_outside_modules_is_none():
-    p, exe, lib = load_pair()
-    assert p.function_extent(0x7777000) is None
+def test_extent_outside_executable_sections_is_none():
+    """An address of a loaded module in its .data, or in the unmapped gap
+    before it, has no enclosing function or granule."""
+    spec = FixtureSpec(path="libdata.so", code=b"\x90" * 0x40,
+                       symbols=(SymbolSpec("f", 0x1000, 0x40),),
+                       data=b"\0" * 0x10)
+    img = make_image(spec)
+    for image in (img, img.stripped_twin()):
+        p = ProcessImage()
+        lm = p.load_module(image, LIB_BASE, derive_instruction_map(image))
+        assert p.function_extent(lm, LIB_BASE + 0x1010) == (LIB_BASE + 0x1000,
+                                                            LIB_BASE + 0x1040)
+        for off in (0x2000, 0x3000, 0x300C):
+            assert lm.span[0] <= LIB_BASE + off < lm.span[1]
+            assert p.function_extent(lm, LIB_BASE + off) is None, hex(off)
 
 
 def test_extent_gap_fallback_in_nonstripped_module():
@@ -281,7 +293,7 @@ def test_extent_gap_fallback_in_nonstripped_module():
     # by all known function starts
     p, exe, lib = load_pair()
     # lib text: foo [0x1000,0x1030), bar [0x1040,0x1060), helpers from 0x1080
-    lo, hi = p.function_extent(LIB_BASE + 0x1035)
+    lo, hi = p.function_extent(lib, LIB_BASE + 0x1035)
     assert (lo, hi) == (LIB_BASE + 0x1000, LIB_BASE + 0x1040)
 
 
@@ -315,7 +327,7 @@ def extents_match_oracle(spec: FixtureSpec, image) -> int:
     desc = {"modules": [describe_module(gm, p)]}
     addrs = [a for lo, hi in lm.exec_ranges for a in range(lo, hi)]
     for addr in addrs:
-        assert p.function_extent(addr) == oracle.extent(desc, addr), (spec, hex(addr))
+        assert p.function_extent(lm, addr) == oracle.extent(desc, addr), (spec, hex(addr))
     return len(addrs)
 
 

@@ -256,6 +256,28 @@ def test_plt_call_to_non_plt_address_is_structural_error():
         replay(events, config, images)
 
 
+@pytest.mark.parametrize("dst_off", [0x1000, 0x902],
+                         ids=["function-entry", "inside-plt-stub"])
+def test_plt_call_off_every_plt_entry_names_code_and_seq(dst_off):
+    """A plt-call to an address of its source module that starts no PLT
+    entry is a malformed trace, reported at that event, also after a good
+    plt-call from the same source."""
+    config, images = workspace_config()
+    events = load_events() + [
+        TraceEvent(seq=3, tid=0, kind="plt-call", src=EXE_BASE + 0x1004,
+                   dst=EXE_BASE + 0x900, length=5),
+        TraceEvent(seq=4, tid=0, kind="return", src=LIB_BASE + 0x1004,
+                   dst=EXE_BASE + 0x1009),
+        TraceEvent(seq=5, tid=0, kind="plt-call", src=EXE_BASE + 0x1004,
+                   dst=EXE_BASE + dst_off, length=5)]
+    with pytest.raises(TraceError) as exc:
+        replay(events, config, images)
+    assert exc.value.code == "address-outside-modules"
+    assert exc.value.seq == 5
+    assert exc.value.message.startswith(
+        f"{hex(EXE_BASE + dst_off)} is not a PLT entry of app@{EXE_BASE:#x}")
+
+
 def test_plt_call_through_self_interposable_stub():
     # gcc -fPIC routes corpus_weak's call to its own export corpus_add
     # through corpus_add@plt; first-loaded-exporter resolution lands on
