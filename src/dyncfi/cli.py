@@ -8,15 +8,13 @@ Subcommands:
     mutate   --trace F --class C  write an adversarially redirected trace
 
 Exit codes: 0 clean, 1 policy violations found, 2 malformed input or
-missing files.  Set LOCKDOWN_LOG=debug|info|warning for verbosity.
+missing files.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
-import os
 import struct
 import sys
 from pathlib import Path
@@ -33,17 +31,9 @@ from .trace import (
     parse_trace,
 )
 
-log = logging.getLogger("dyncfi")
-
 EXIT_CLEAN = 0
 EXIT_VIOLATIONS = 1
 EXIT_BAD_INPUT = 2
-
-
-def _setup_logging() -> None:
-    level = os.environ.get("LOCKDOWN_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(name)s %(levelname)s %(message)s")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -176,7 +166,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
         Path(args.dump_image).write_text(
             json.dumps(replayer.process.snapshot_dict(), indent=2,
                        sort_keys=True) + "\n")
-    log.info("report written to %s", args.output)
     if not report.clean:
         print(f"{len(report.violations)} violation(s); report: {args.output}",
               file=sys.stderr)
@@ -269,7 +258,6 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    _setup_logging()
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -116,13 +116,13 @@ class Section:
         return self.virtual_offset <= offset < self.end
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SymbolRecord:
     """A defined symbol: module-relative value, size and classification.
 
     ``origin`` records which symbol table supplied the record; exported
-    symbols always come from the dynamic table (and may be duplicated in
-    the full table of a non-stripped module).
+    symbols are the non-local ones of the dynamic table (and may be
+    duplicated in the full table of a non-stripped module).
     """
 
     name: str
@@ -130,7 +130,6 @@ class SymbolRecord:
     size: int
     kind: str = "function"       # function | object | other
     binding: str = "global"      # global | local | weak
-    visibility: str = "exported"  # exported | hidden
     origin: str = "dynsym"       # dynsym | symtab
 
 
@@ -200,7 +199,7 @@ class ModuleImage:
     @cached_property
     def export_records(self) -> tuple[SymbolRecord, ...]:
         return tuple(s for s in self.symbols if s.origin == "dynsym"
-                     and s.visibility == "exported")
+                     and s.binding != "local")
 
     @cached_property
     def export_values(self) -> dict[str, int]:
@@ -232,10 +231,26 @@ class ModuleImage:
                          if self.in_executable_range(off))
 
     @cached_property
-    def exec_function_exports(self) -> tuple[tuple[str, int], ...]:
-        """(name, offset) of exported functions in executable sections."""
-        return tuple((r.name, r.value) for r in self.export_records
-                     if r.kind == "function" and self.in_executable_range(r.value))
+    def function_exports(self) -> dict[str, tuple[int, ...]]:
+        """Exported function name -> every offset it is exported at in an
+        executable section (a versioned name may have several)."""
+        offsets: dict[str, list[int]] = {}
+        for r in self.export_records:
+            if r.kind == "function" and self.in_executable_range(r.value):
+                offsets.setdefault(r.name, []).append(r.value)
+        return {name: tuple(offs) for name, offs in offsets.items()}
+
+    @cached_property
+    def imported_names(self) -> frozenset[str]:
+        """Names bound to other modules: imports plus PLT-stub symbols.  A
+        stub's symbol counts even when the module defines it, because an
+        earlier-loaded exporter interposes on the stub."""
+        return frozenset(self.imports).union(e.symbol for e in self.plt_entries)
+
+    @cached_property
+    def plt_symbols(self) -> dict[int, str]:
+        """PLT stub offset -> the symbol it calls."""
+        return {e.address: e.symbol for e in self.plt_entries}
 
     @cached_property
     def granule_boundaries(self) -> tuple[int, ...]:
@@ -355,7 +370,6 @@ class ModuleImage:
 class InstructionMap:
     """Module-relative offsets of known-valid instruction starts."""
 
-    path: str
     offsets: tuple[int, ...]  # sorted ascending
 
     def contains(self, offset: int) -> bool:
@@ -481,12 +495,12 @@ def _parse(data: bytes, path: str, *, is64: bool) -> ModuleImage:
         h = headers[table_idx]
         strtab = strtab_for(h["link"])
         raw = section_bytes(h, names[table_idx])
-        count = len(raw) // sym_size
         records: list[SymbolRecord] = []
         und: list[str] = []
         by_index: list[str] = [""]
-        for i in range(1, count):  # entry 0 is the null symbol
-            f = struct.unpack_from(sym_fmt, raw, i * sym_size)
+        # Entry 0 is the null symbol; a trailing partial entry is ignored.
+        for f in struct.iter_unpack(sym_fmt,
+                                    raw[sym_size:len(raw) - len(raw) % sym_size]):
             if is64:
                 st_name, st_info, _other, st_shndx, st_value, st_size = f
             else:
@@ -503,13 +517,10 @@ def _parse(data: bytes, path: str, *, is64: bool) -> ModuleImage:
                 continue
             if st_shndx >= SHN_LORESERVE:
                 continue  # ABS/COMMON markers are not code/data locations
-            binding = _BIND_NAMES.get(st_bind, "local")
-            exported = (origin == "dynsym" and binding in ("global", "weak"))
             records.append(SymbolRecord(
                 name=name, value=st_value, size=st_size,
                 kind=_KIND_NAMES.get(st_type, "other"),
-                binding=binding,
-                visibility="exported" if exported else "hidden",
+                binding=_BIND_NAMES.get(st_bind, "local"),
                 origin=origin,
             ))
         return records, und, by_index
@@ -547,8 +558,7 @@ def _parse(data: bytes, path: str, *, is64: bool) -> ModuleImage:
             ent, fmt = ((16, "<QQ") if is64 else (_REL32_SIZE, "<II"))
         else:
             ent, fmt = ((24, "<QQq") if is64 else (12, "<IIi"))
-        for j in range(len(raw) // ent):
-            fields = struct.unpack_from(fmt, raw, j * ent)
+        for fields in struct.iter_unpack(fmt, raw[:len(raw) - len(raw) % ent]):
             r_offset, r_info = fields[0], fields[1]
             if is64:
                 r_type, r_sym = r_info & 0xFFFFFFFF, r_info >> 32
@@ -677,30 +687,6 @@ class FixtureSpec:
 
     def stripped_twin(self) -> "FixtureSpec":
         return replace(self, stripped=True)
-
-    # Expected parse results, accounting for what stripping removes.
-
-    def expected_symbols(self) -> list[SymbolSpec]:
-        if self.stripped:
-            return [s for s in self.symbols if s.exported]
-        return list(self.symbols)
-
-    def expected_exports(self) -> list[str]:
-        return [s.name for s in self.symbols if s.exported]
-
-    def expected_relocations(self) -> list[RelocationRecord]:
-        out = [RelocationRecord(offset=r.offset, kind="relative", addend=r.addend)
-               for r in self.relocations]
-        for i, sym in enumerate(self.plt):
-            slot = self.gotplt_vaddr + 4 * (GOT_RESERVED_SLOTS + i)
-            plt_addr = self.plt_vaddr + PLT_ENTRY_SIZE * i
-            out.append(RelocationRecord(offset=slot, kind="jmp-slot",
-                                        addend=plt_addr + 6, symbol=sym))
-        return out
-
-    def expected_plt_entries(self) -> list[PltEntry]:
-        return [PltEntry(address=self.plt_vaddr + PLT_ENTRY_SIZE * i, symbol=sym)
-                for i, sym in enumerate(self.plt)]
 
     @staticmethod
     def from_dict(d: dict) -> "FixtureSpec":
@@ -1046,9 +1032,9 @@ def derive_instruction_map(module: ModuleImage,
                 raise SidecarError(
                     "sidecar-module-mismatch",
                     f"{module.path}: offset {hex(off)} outside executable ranges")
-        return InstructionMap(path=module.path, offsets=tuple(offsets))
+        return InstructionMap(offsets=tuple(offsets))
     starts = {s.value for s in module.symbols
               if s.kind == "function" and module.in_executable_range(s.value)}
     starts.update(p.address for p in module.plt_entries
                   if module.in_executable_range(p.address))
-    return InstructionMap(path=module.path, offsets=tuple(sorted(starts)))
+    return InstructionMap(offsets=tuple(sorted(starts)))

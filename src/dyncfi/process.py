@@ -313,20 +313,18 @@ class ProcessImage:
         # Functions defined in the module, callable from the module itself.
         offsets = lm.imap.offsets if mod.stripped else mod.exec_function_starts
         table.local[lm.module_id] = {lm.base + off for off in offsets}
-        # New module's imports, resolved against every loaded exporter.  A
-        # PLT stub's symbol counts as imported even when the module defines
-        # it: an earlier-loaded exporter interposes on the stub.
-        wanted = {*mod.imports, *(e.symbol for e in mod.plt_entries)}
+        # New module's imports, resolved against every loaded exporter.
         table.imported[lm.module_id] = {
             other.base + off for other in self.loaded.values()
-            for name, off in other.module.exec_function_exports if name in wanted}
+            for name in other.module.function_exports.keys() & mod.imported_names
+            for off in other.module.function_exports[name]}
         # New module's exports, callable from every importer already loaded.
+        exports = mod.function_exports
         for other in self.loaded.values():
-            imported = {*other.module.imports,
-                        *(e.symbol for e in other.module.plt_entries)}
             table.imported[other.module_id].update(
-                lm.base + off for name, off in mod.exec_function_exports
-                if name in imported)
+                lm.base + off
+                for name in exports.keys() & other.module.imported_names
+                for off in exports[name])
 
     def unload_module(self, module_id: str) -> None:
         """Remove a module, revoking every binding to or from it.
@@ -375,34 +373,31 @@ class ProcessImage:
             self.epoch += 1
         return added
 
-    def resolve_plt(self, module_id: str, plt_address: int) -> int:
-        """Resolve a PLT entry to the first-loaded exporter's address.
+    def resolve_plt(self, lm: LoadedModule, plt_address: int) -> int:
+        """Resolve a PLT entry of ``lm`` to the first-loaded exporter's
+        address.
 
         The resolved pair is recorded in ``plt_resolutions`` for the
         process snapshot.
 
         Raises:
-            ProcessError: ``unknown-module`` / no such PLT entry.
+            ProcessError: ``unknown-module`` when ``plt_address`` is not a
+                PLT entry of ``lm``.
             ResolutionError: ``unresolved-symbol`` when no loaded module
                 exports the name.
         """
-        lm = self.loaded.get(module_id)
-        if lm is None:
-            raise ProcessError("unknown-module", f"not loaded: {module_id}")
-        off = plt_address - lm.base
-        entry = next((p for p in lm.module.plt_entries if p.address == off), None)
-        if entry is None:
+        symbol = lm.module.plt_symbols.get(plt_address - lm.base)
+        if symbol is None:
             raise ProcessError(
                 "unknown-module",
-                f"{module_id}: {hex(plt_address)} is not a PLT entry")
-        exporter = self.resolve_import(entry.symbol)
+                f"{lm.module_id}: {hex(plt_address)} is not a PLT entry")
+        exporter = self.resolve_import(symbol)
         if exporter is None:
             raise ResolutionError(
                 "unresolved-symbol",
-                f"{module_id}: no loaded exporter for {entry.symbol!r}")
-        value = exporter.module.export_value(entry.symbol)
-        target = exporter.base + value
-        self.plt_resolutions[(module_id, plt_address)] = target
+                f"{lm.module_id}: no loaded exporter for {symbol!r}")
+        target = exporter.base + exporter.module.export_value(symbol)
+        self.plt_resolutions[(lm.module_id, plt_address)] = target
         return target
 
     def rebuild_table(self) -> TransferLookupTable:
@@ -431,11 +426,6 @@ class ProcessImage:
                 and exporter.module.in_executable_range(r.value)}
         fresh.callbacks = {f.address for f in self.callback_findings}
         return fresh
-
-    def check_table_targets_valid(self) -> list[int]:
-        """Table targets that are not valid instruction starts (should be [])."""
-        return [t for t in sorted(self.table.snapshot())
-                if not self.is_instruction(t)]
 
     def snapshot_dict(self) -> dict:
         """Diagnostic dump of the current image."""

@@ -454,13 +454,12 @@ class Replayer:
     def _check_plt_call(self, src_mod: LoadedModule,
                         event: TraceEvent) -> Verdict:
         p, module_id = self.process, src_mod.module_id
-        off = event.dst - src_mod.base
-        if not any(e.address == off for e in src_mod.module.plt_entries):
+        if event.dst - src_mod.base not in src_mod.module.plt_symbols:
             raise TraceError("address-outside-modules",
                              f"{hex(event.dst)} is not a PLT entry of "
                              f"{module_id}", seq=event.seq)
         try:
-            target = p.resolve_plt(module_id, event.dst)
+            target = p.resolve_plt(src_mod, event.dst)
         except ResolutionError as exc:
             return Verdict(DENY, RULE_PLT_DIRECT, exc.message,
                            len(p.call_target_set(module_id)))

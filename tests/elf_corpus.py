@@ -42,6 +42,15 @@ def readelf_dynsym_exports(path: str) -> set[str]:
     return exports
 
 
+def readelf_undefined_dynsyms(path: str) -> set[str]:
+    """GLOBAL/WEAK ``.dynsym`` names whose section is UND (the imports)."""
+    out = subprocess.run(["readelf", "--dyn-syms", "-W", path],
+                         capture_output=True, text=True, check=True).stdout
+    return {m.group(1) for m in re.finditer(
+        r"^\s*\d+:\s+0+\s+\d+\s+\w+\s+(?:GLOBAL|WEAK)\s+\w+\s+UND\s+(\S+)",
+        out, re.M)}
+
+
 def objdump_plt_entries(path: str) -> set[tuple[int, str]]:
     """``(address, symbol)`` of every ``<symbol@plt>`` label in ``.plt``."""
     out = subprocess.run(["objdump", "-d", "-j", ".plt", path],

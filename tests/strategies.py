@@ -23,6 +23,12 @@ from dyncfi import (
     scan_callbacks,
     sidecar_lines,
 )
+from dyncfi.elf import (
+    GOT_RESERVED_SLOTS,
+    PLT_ENTRY_SIZE,
+    PltEntry,
+    RelocationRecord,
+)
 from dyncfi.trace import DirectMemo
 
 BASES = [0x08048000, 0x40000000, 0x41000000, 0x42000000, 0x43000000, 0x44000000]
@@ -44,6 +50,42 @@ class NeverHitMemo(DirectMemo):
 
 def make_image(spec: FixtureSpec) -> ModuleImage:
     return parse_module(build_fixture(spec), spec.path)
+
+
+# Expected parse results of a fixture spec, accounting for what stripping
+# removes.
+
+def expected_symbols(spec: FixtureSpec) -> list[SymbolSpec]:
+    if spec.stripped:
+        return [s for s in spec.symbols if s.exported]
+    return list(spec.symbols)
+
+
+def expected_exports(spec: FixtureSpec) -> list[str]:
+    return [s.name for s in spec.symbols if s.exported]
+
+
+def expected_relocations(spec: FixtureSpec) -> list[RelocationRecord]:
+    out = [RelocationRecord(offset=r.offset, kind="relative", addend=r.addend)
+           for r in spec.relocations]
+    for i, sym in enumerate(spec.plt):
+        slot = spec.gotplt_vaddr + 4 * (GOT_RESERVED_SLOTS + i)
+        plt_addr = spec.plt_vaddr + PLT_ENTRY_SIZE * i
+        out.append(RelocationRecord(offset=slot, kind="jmp-slot",
+                                    addend=plt_addr + 6, symbol=sym))
+    return out
+
+
+def expected_plt_entries(spec: FixtureSpec) -> list[PltEntry]:
+    return [PltEntry(address=spec.plt_vaddr + PLT_ENTRY_SIZE * i, symbol=sym)
+            for i, sym in enumerate(spec.plt)]
+
+
+def check_table_targets_valid(process: ProcessImage) -> list[int]:
+    """Lookup-table targets that are not valid instruction starts (should
+    be [])."""
+    return [t for t in sorted(process.table.snapshot())
+            if not process.is_instruction(t)]
 
 
 def imap_for(spec: FixtureSpec, image: ModuleImage, with_sidecar: bool):

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, report files."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 
 from dyncfi.cli import _load_allowlist, main
 from dyncfi.elf import FixtureSpec, SymbolSpec, build_fixture
+from elf_corpus import CORPUS_DIR
 
 SPEC_JSON = {
     "modules": [
@@ -68,6 +70,22 @@ def test_analyze_reports_locals_and_stripped(workspace: Path, capsys):
     assert doc["stripped"] is False
     assert doc["locals"] == ["helper"]
     assert doc["exports"] == ["foo", "bar"]
+
+
+@pytest.mark.parametrize("args,digest", [
+    (["libcorpus32.so"],
+     "5641b2ca716573e7015e0c93c17c2a585f51ddca1cc01df7950f102634cc345a"),
+    (["libcorpus32-stripped.so"],
+     "5b81ff31c44fd3ee25c68a2f351c8da6a287edd85748b10c0106ff012829ee6b"),
+    (["--elf64", "libcorpus64.so"],
+     "88bed358ebabc0af5b270dedd0b5f3dfcfd251b055befec903303ae15c060ada"),
+], ids=["corpus32", "corpus32-stripped", "corpus64"])
+def test_analyze_corpus_output_is_pinned(monkeypatch, capsys, args, digest):
+    """The inventory of each toolchain-built object, byte for byte: the
+    paths are relative to the corpus directory, so the output is too."""
+    monkeypatch.chdir(CORPUS_DIR)
+    assert main(["analyze", *args]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_analyze_missing_path_exits_2(capsys):
@@ -250,7 +268,7 @@ def test_check_non_utf8_input_exits_2(workspace: Path, capsys, which):
 
 def test_console_entry_point_subprocess(workspace: Path):
     env = {"PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src"),
-           "LOCKDOWN_LOG": "info", "PATH": "/usr/bin:/bin"}
+           "PATH": "/usr/bin:/bin"}
     proc = subprocess.run(
         [sys.executable, "-m", "dyncfi", "analyze",
          str(workspace / "mods" / "app")],

@@ -13,6 +13,7 @@ from dyncfi import (
     ElfFormatError,
     FixtureError,
     FixtureSpec,
+    ProcessImage,
     SidecarError,
     SymbolSpec,
     build_fixture,
@@ -29,8 +30,15 @@ from elf_corpus import (
     CORPUS_STRIPPED_32,
     objdump_plt_entries,
     readelf_dynsym_exports,
+    readelf_undefined_dynsyms,
     requires_objdump,
     requires_readelf,
+)
+from strategies import (
+    expected_exports,
+    expected_plt_entries,
+    expected_relocations,
+    expected_symbols,
 )
 
 # Host system libraries: checked as well wherever the host has them.
@@ -250,12 +258,7 @@ def test_real_nonstripped_symbol_count_matches_readelf():
 def test_corpus_imports_and_relocations_match_readelf():
     path = CORPUS_NONSTRIPPED_32
     img = parse_module(open(path, "rb").read(), path)
-    syms = subprocess.run(["readelf", "--dyn-syms", "-W", path],
-                          capture_output=True, text=True, check=True).stdout
-    undefined = {m.group(1) for m in re.finditer(
-        r"^\s*\d+:\s+0+\s+\d+\s+\w+\s+(?:GLOBAL|WEAK)\s+\w+\s+UND\s+(\S+)",
-        syms, re.M)}
-    assert set(img.imports) == undefined
+    assert set(img.imports) == readelf_undefined_dynsyms(path)
     relocs = subprocess.run(["readelf", "-r", "-W", path],
                             capture_output=True, text=True, check=True).stdout
     expected = set()
@@ -285,6 +288,38 @@ def test_corpus_plt_entries_match_objdump(path):
     assert {"corpus_add", "corpus_weak", "ext_open", "ext_log"} <= \
         {sym for _, sym in expected}
     assert {(e.address, e.symbol) for e in img.plt_entries} == expected
+
+
+@requires_readelf
+@requires_objdump
+@pytest.mark.parametrize("path", [
+    pytest.param(CORPUS_NONSTRIPPED_32, id="corpus32-nonstripped"),
+    pytest.param(CORPUS_STRIPPED_32, id="corpus32-stripped"),
+])
+@pytest.mark.parametrize("corpus_first", [True, False],
+                         ids=["exporter-first", "importer-first"])
+def test_corpus_name_indexes_match_toolchain(path, corpus_first):
+    img = parse_module(open(path, "rb").read(), path)
+    plt = objdump_plt_entries(path)
+    assert img.plt_symbols == dict(plt)
+    assert img.imported_names == \
+        readelf_undefined_dynsyms(path) | {sym for _, sym in plt} == \
+        {"ext_open", "ext_log", "corpus_add", "corpus_weak"}
+    # corpus_version is exported at two versions, each its own function
+    assert sorted(img.function_exports["corpus_version"]) == [0x11e0, 0x11f0]
+
+    app_spec = FixtureSpec(path="app", code=b"\x90" * 0x40,
+                           symbols=(SymbolSpec("main", 0x1000, 0x10),),
+                           imports=("corpus_version",), plt=("corpus_version",))
+    app_img = parse_module(build_fixture(app_spec), app_spec.path)
+    loads = [(img, 0x40000000), (app_img, 0x08048000)]
+    p = ProcessImage()
+    loaded = [p.load_module(m, base, derive_instruction_map(m))
+              for m, base in (loads if corpus_first else loads[::-1])]
+    app = next(lm for lm in loaded if lm.module is app_img)
+    assert {0x40000000 + 0x11e0, 0x40000000 + 0x11f0} <= \
+        p.table.imported[app.module_id]
+    assert p.table == p.rebuild_table()
 
 
 def test_corpus_rebuild_is_byte_identical(tmp_path):
@@ -406,13 +441,13 @@ def test_round_trip_preserves_semantics(spec):
     img = parse_module(build_fixture(spec), spec.path)
     assert img.stripped == spec.stripped
     assert list(img.imports) == list(spec.imports)
-    assert list(img.exports) == spec.expected_exports()
+    assert list(img.exports) == expected_exports(spec)
     got_syms = {(s.name, s.value, s.size, s.kind, s.binding)
                 for s in img.symbols}
-    for s in spec.expected_symbols():
+    for s in expected_symbols(spec):
         assert (s.name, s.value, s.size, s.kind, s.binding) in got_syms
     assert [(p.address, p.symbol) for p in img.plt_entries] == \
-        [(p.address, p.symbol) for p in spec.expected_plt_entries()]
+        [(p.address, p.symbol) for p in expected_plt_entries(spec)]
     got_relocs = {(r.offset, r.kind, r.addend) for r in img.relocations}
-    for r in spec.expected_relocations():
+    for r in expected_relocations(spec):
         assert (r.offset, r.kind, r.addend) in got_relocs

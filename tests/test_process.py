@@ -15,6 +15,7 @@ from strategies import (
     make_image,
     random_module_spec,
     random_process,
+    check_table_targets_valid,
     two_module_workspace,
 )
 
@@ -189,7 +190,7 @@ def test_epoch_increments_on_every_mutation():
 
 def test_resolve_plt_returns_exporter_address():
     p, exe, lib = load_pair()
-    target = p.resolve_plt(exe.module_id, EXE_BASE + 0x900)
+    target = p.resolve_plt(exe, EXE_BASE + 0x900)
     assert target == LIB_BASE + 0x1000
     assert p.plt_resolutions[(exe.module_id, EXE_BASE + 0x900)] == target
 
@@ -200,7 +201,7 @@ def test_resolve_plt_unresolved_symbol():
     exe = p.load_module(images["app"], EXE_BASE,
                         imap_for(specs["app"], images["app"], True))
     with pytest.raises(ResolutionError) as exc:
-        p.resolve_plt(exe.module_id, EXE_BASE + 0x900)
+        p.resolve_plt(exe, EXE_BASE + 0x900)
     assert exc.value.code == "unresolved-symbol"
 
 
@@ -222,7 +223,7 @@ def test_resolve_plt_first_loaded_exporter_wins():
         p.load_module(images[path], base, derive_instruction_map(images[path]))
     exe = p.load_module(images["app"], EXE_BASE,
                         derive_instruction_map(images["app"]))
-    assert p.resolve_plt(exe.module_id, EXE_BASE + 0x900) == expected_base + 0x1000
+    assert p.resolve_plt(exe, EXE_BASE + 0x900) == expected_base + 0x1000
     # both exporters' addresses are in the allowed set, though
     targets = p.call_target_set(exe.module_id)
     assert {0x40000000 + 0x1000, 0x41000000 + 0x1010} <= targets
@@ -231,7 +232,7 @@ def test_resolve_plt_first_loaded_exporter_wins():
 def test_resolve_plt_rejects_non_plt_address():
     p, exe, lib = load_pair()
     with pytest.raises(ProcessError):
-        p.resolve_plt(exe.module_id, EXE_BASE + 0x1000)
+        p.resolve_plt(exe, EXE_BASE + 0x1000)
 
 
 def test_unresolved_imports_tolerated_until_used():
@@ -359,7 +360,7 @@ def test_incremental_table_equals_rebuild_over_random_sequences():
             p.unload_module(victim)
             assert p.table == p.rebuild_table()
             assert len(p.table) == len(p.rebuild_table()) == len(p.table.snapshot())
-        assert not p.check_table_targets_valid()
+        assert not check_table_targets_valid(p)
 
 
 def test_call_target_sets_match_oracle_after_each_unload():
@@ -419,4 +420,4 @@ def test_every_table_target_is_valid_instruction():
     rng = random.Random(99)
     for _ in range(40):
         p, _desc, _gen = random_process(rng)
-        assert p.check_table_targets_valid() == []
+        assert check_table_targets_valid(p) == []
