@@ -36,7 +36,7 @@ from .errors import (
 )
 from .policy import Verdict, check_call, check_jump, scan_callbacks
 from .process import CallbackFinding, LoadedModule, ProcessImage, TransferLookupTable
-from .shadow import ShadowFrame, ShadowStack
+from .shadow import ShadowStack
 from .trace import (
     EnforcementReport,
     MutationSpec,

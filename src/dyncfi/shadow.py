@@ -10,32 +10,25 @@ ever removed, never fabricated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ShadowStackError
 from .policy import ALLOW, DENY, RULE_RETURN_SHADOW, Verdict
 
 DEFAULT_MAX_DEPTH = 1_000_000
 
 
-@dataclass(frozen=True, slots=True)
-class ShadowFrame:
-    return_address: int
-    call_site: int
-
-
 class ShadowStack:
-    """LIFO of return-address frames with a configurable depth bound."""
+    """LIFO of return addresses with a configurable depth bound."""
 
     def __init__(self, max_depth: int = DEFAULT_MAX_DEPTH) -> None:
-        self._frames: list[ShadowFrame] = []
+        self._frames: list[int] = []
         self.max_depth = max_depth
 
     def __len__(self) -> int:
         return len(self._frames)
 
     @property
-    def frames(self) -> tuple[ShadowFrame, ...]:
+    def frames(self) -> tuple[int, ...]:
+        """The return addresses, bottom of the stack first."""
         return tuple(self._frames)
 
     def push_call(self, call_site: int, return_address: int) -> None:
@@ -45,7 +38,7 @@ class ShadowStack:
                 "depth-exceeded",
                 f"shadow stack exceeded {self.max_depth} frames "
                 f"(call at {hex(call_site)})")
-        self._frames.append(ShadowFrame(return_address, call_site))
+        self._frames.append(return_address)
 
     def pop_and_check(self, claimed: int) -> Verdict:
         """Validate the claimed return address against the top frame.
@@ -63,10 +56,9 @@ class ShadowStack:
                            f"return to {hex(claimed)} with empty shadow stack "
                            f"(underflow)", 1)
         top = self._frames.pop()
-        if top.return_address != claimed:
+        if top != claimed:
             return Verdict(DENY, RULE_RETURN_SHADOW,
-                           f"claimed {hex(claimed)} != shadow "
-                           f"{hex(top.return_address)}", 1)
+                           f"claimed {hex(claimed)} != shadow {hex(top)}", 1)
         return Verdict(ALLOW, RULE_RETURN_SHADOW,
                        f"return to {hex(claimed)} matches shadow", 1)
 
@@ -77,7 +69,7 @@ class ShadowStack:
         matches; the replay engine escalates that to a violation.
         """
         for i in range(len(self._frames) - 1, -1, -1):
-            if self._frames[i].return_address == target_return:
+            if self._frames[i] == target_return:
                 del self._frames[i + 1:]
                 return True
         return False

@@ -2,7 +2,8 @@
 
 Trace format: line-delimited JSON, one event per line, UTF-8, addresses
 as hex strings below 2^32, ``seq`` starting at 1 and strictly increasing.
-Event kinds and their payloads:
+Event kinds and their payloads (``EVENT_FIELDS`` holds the required ones;
+bracketed fields are optional):
 
     load             path, base
     unload           path [, base]
@@ -14,6 +15,8 @@ Event kinds and their payloads:
     return           src, dst(claimed)
     exception-unwind target
     code-write       [addr]               always a violation
+
+``len`` is the call instruction's length, 1 to 15 bytes.
 
 Direct transfers are verified once per unique pair per epoch, mirroring
 translation-time checks, and never enter the reduction metric; indirect
@@ -44,15 +47,24 @@ from .policy import (
 from .process import ADDRESS_LIMIT, LoadedModule, ProcessImage
 from .shadow import ShadowStack
 
-EVENT_KINDS = frozenset({
-    "load", "unload", "direct-call", "indirect-call", "direct-jump",
-    "indirect-jump", "return", "plt-call", "exception-unwind", "code-write",
-})
-CALL_KINDS = frozenset({"direct-call", "indirect-call", "plt-call"})
-TRANSFER_EVENT_KINDS = frozenset({
-    "direct-call", "indirect-call", "direct-jump", "indirect-jump",
-    "return", "plt-call",
-})
+#: Each event kind's required fields.  Any address field present on any
+#: kind must be valid; so must ``len``, which every call kind requires.
+EVENT_FIELDS: dict[str, frozenset[str]] = {
+    "load": frozenset({"path", "base"}),
+    "unload": frozenset({"path"}),
+    "direct-call": frozenset({"src", "dst", "len"}),
+    "indirect-call": frozenset({"src", "dst", "len"}),
+    "direct-jump": frozenset({"src", "dst"}),
+    "indirect-jump": frozenset({"src", "dst"}),
+    "return": frozenset({"src", "dst"}),
+    "plt-call": frozenset({"src", "dst", "len"}),
+    "exception-unwind": frozenset({"target"}),
+    "code-write": frozenset(),
+}
+EVENT_KINDS = frozenset(EVENT_FIELDS)
+CALL_KINDS = frozenset(k for k, req in EVENT_FIELDS.items() if "len" in req)
+ADDRESS_FIELDS = ("base", "src", "dst", "target", "addr")
+MAX_INSTRUCTION_LEN = 15  # the architectural limit of one x86 instruction
 
 RULE_SELF_MODIFYING = "self-modifying-code"
 RULE_UNWIND_MISS = "unwind-miss"
@@ -76,9 +88,8 @@ class TraceEvent:
         out: dict = {"seq": self.seq, "tid": self.tid, "kind": self.kind}
         if self.path is not None:
             out["path"] = self.path
-        for name, value in (("base", self.base), ("src", self.src),
-                            ("dst", self.dst), ("target", self.target),
-                            ("addr", self.addr)):
+        for name in ADDRESS_FIELDS:
+            value = getattr(self, name)
             if value is not None:
                 out[name] = hex(value)
         if self.length is not None:
@@ -125,50 +136,54 @@ def parse_trace(source: str | bytes) -> list[TraceEvent]:
 
 
 def _event_from_obj(obj: dict, lineno: int) -> TraceEvent:
-    def fail(msg: str):
-        raise TraceError("malformed-trace", msg, line=lineno)
-
+    # Checks run in field order (kind, seq, tid, path, the address fields,
+    # len); the first bad field names the error.
     kind = obj.get("kind")
-    if not isinstance(kind, str) or kind not in EVENT_KINDS:
-        fail(f"unknown event kind {kind!r}")
+    required = EVENT_FIELDS.get(kind) if isinstance(kind, str) else None
+    if required is None:
+        raise _malformed(f"unknown event kind {kind!r}", lineno)
     # type() rather than isinstance(): JSON true/false are bools, not ints.
     seq = obj.get("seq")
     if type(seq) is not int or seq < 1:
-        fail(f"bad seq {seq!r}")
+        raise _malformed(f"bad seq {seq!r}", lineno)
     tid = obj.get("tid", 0)
     if type(tid) is not int or tid < 0:
-        fail(f"bad tid {tid!r}")
-
-    def addr_field(name: str, required: bool) -> int | None:
+        raise _malformed(f"bad tid {tid!r}", lineno)
+    path = obj.get("path")
+    if not isinstance(path, str):
+        if "path" in required:
+            raise _malformed(f"{kind} event missing 'path'", lineno)
+        path = None
+    addrs = []
+    for name in ADDRESS_FIELDS:
         raw = obj.get(name)
         if raw is None:
-            if required:
-                fail(f"{kind} event missing {name!r}")
-            return None
+            if name in required:
+                raise _malformed(f"{kind} event missing {name!r}", lineno)
+            addrs.append(None)
+            continue
         try:
             value = int(raw, 16) if isinstance(raw, str) else raw
         except ValueError:
             value = None
         if type(value) is not int or not 0 <= value < ADDRESS_LIMIT:
-            fail(f"bad address {raw!r} in {name!r}")
-        return value
-
-    path = obj.get("path")
-    if kind in ("load", "unload") and not isinstance(path, str):
-        fail(f"{kind} event missing 'path'")
-    base = addr_field("base", required=(kind == "load"))
-    src = addr_field("src", required=kind in TRANSFER_EVENT_KINDS)
-    dst = addr_field("dst", required=kind in TRANSFER_EVENT_KINDS)
-    target = addr_field("target", required=(kind == "exception-unwind"))
-    addr = addr_field("addr", required=False)
+            raise _malformed(f"bad address {raw!r} in {name!r}", lineno)
+        addrs.append(value)
     length = obj.get("len")
-    if (kind in CALL_KINDS or length is not None) and not (
-            type(length) is int and length > 0):
-        fail(f"{kind} event needs a positive 'len', got {length!r}")
-    return TraceEvent(seq=seq, tid=tid, kind=kind,
-                      path=path if isinstance(path, str) else None,
-                      base=base, src=src, dst=dst, length=length,
-                      target=target, addr=addr)
+    if length is not None or "len" in required:
+        if type(length) is not int or length < 1:
+            raise _malformed(
+                f"{kind} event needs a positive 'len', got {length!r}", lineno)
+        if length > MAX_INSTRUCTION_LEN:
+            raise _malformed(
+                f"{kind} event 'len' {length} exceeds the "
+                f"{MAX_INSTRUCTION_LEN}-byte x86 instruction limit", lineno)
+    base, src, dst, target, addr = addrs
+    return TraceEvent(seq, tid, kind, path, base, src, dst, length, target, addr)
+
+
+def _malformed(msg: str, lineno: int) -> TraceError:
+    return TraceError("malformed-trace", msg, line=lineno)
 
 
 def events_to_jsonl(events: list[TraceEvent]) -> str:
@@ -188,24 +203,15 @@ class ReplayConfig:
     module_root: Path | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class EventVerdict:
-    seq: int
-    kind: str
-    decision: str
-    rule: str
-    target_set_size: int
-    reason: str
-
-    def to_obj(self) -> dict:
-        return {"seq": self.seq, "kind": self.kind, "decision": self.decision,
-                "rule": self.rule, "target_set_size": self.target_set_size,
-                "reason": self.reason}
-
-
 @dataclass
 class EnforcementReport:
-    verdicts: list[EventVerdict] = field(default_factory=list)
+    """Replay results; each ``verdicts`` row is ``(seq, kind, verdict)``.
+
+    A row holds the check's own :class:`Verdict`, so the rows of memoized
+    direct transfers share one object.
+    """
+
+    verdicts: list[tuple[int, str, Verdict]] = field(default_factory=list)
     dair: DairTracker = field(default_factory=DairTracker)
     epochs: list[dict] = field(default_factory=list)
     kind_counts: dict = field(default_factory=dict)
@@ -214,9 +220,8 @@ class EnforcementReport:
     @property
     def violations(self) -> list[dict]:
         """One entry per DENY verdict, in event order."""
-        return [{"seq": v.seq, "kind": v.kind, "rule": v.rule,
-                 "detail": v.reason}
-                for v in self.verdicts if v.decision == DENY]
+        return [{"seq": seq, "kind": kind, "rule": v.rule, "detail": v.reason}
+                for seq, kind, v in self.verdicts if v.decision == DENY]
 
     @property
     def events_processed(self) -> int:
@@ -224,7 +229,7 @@ class EnforcementReport:
 
     @property
     def clean(self) -> bool:
-        return all(v.decision != DENY for v in self.verdicts)
+        return all(v.decision != DENY for _seq, _kind, v in self.verdicts)
 
     def to_dict(self) -> dict:
         violations = self.violations
@@ -239,7 +244,11 @@ class EnforcementReport:
                     "violations": len(violations),
                     "aborted_at": self.aborted_at,
                 },
-                "verdicts": [v.to_obj() for v in self.verdicts],
+                "verdicts": [
+                    {"seq": seq, "kind": kind, "decision": v.decision,
+                     "rule": v.rule, "target_set_size": v.target_set_size,
+                     "reason": v.reason}
+                    for seq, kind, v in self.verdicts],
             },
             "violations": violations,
             "dair": self.dair.to_report_dict(),
@@ -370,10 +379,7 @@ class Replayer:
 
     def _record(self, report: EnforcementReport, event: TraceEvent,
                 verdict: Verdict) -> None:
-        report.verdicts.append(EventVerdict(
-            seq=event.seq, kind=event.kind, decision=verdict.decision,
-            rule=verdict.rule, target_set_size=verdict.target_set_size,
-            reason=verdict.reason))
+        report.verdicts.append((event.seq, event.kind, verdict))
         if (verdict.decision == DENY and report.aborted_at is None
                 and self.config.abort_on_violation):
             report.aborted_at = event.seq

@@ -556,7 +556,8 @@ def test_criterion_8_adversarial_matrix():
         changed = [i for i, (a, b) in enumerate(zip(base, mutated)) if a != b]
         assert len(changed) == 1
         seq = mutated[changed[0]].seq
-        verdict = next(v for v in report.verdicts if v.seq == seq)
+        verdict = next(v for row_seq, _kind, v in report.verdicts
+                       if row_seq == seq)
         assert (verdict.decision, verdict.rule) == (decision, rule), \
             f"{klass}: got {(verdict.decision, verdict.rule)}"
         if decision == "deny":

@@ -5,6 +5,7 @@ through ``dyncfi check``. Only :class:`DynCfiError` may escape a parser, and
 the CLI must answer 0, 1 or 2; a traceback of any other kind fails the test.
 """
 
+import json
 import tempfile
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from strategies import EXE_BASE, LIB_BASE, load_events, renumber, two_module_wor
 
 from dyncfi import (
     DynCfiError,
+    TraceError,
     TraceEvent,
     build_fixture,
     events_to_jsonl,
@@ -23,7 +25,9 @@ from dyncfi import (
     parse_trace,
     sidecar_lines,
 )
+from dyncfi import trace as trace_mod
 from dyncfi.cli import main
+from dyncfi.process import ADDRESS_LIMIT
 
 FUZZ = settings(max_examples=150, derandomize=True, deadline=None,
                 database=None)
@@ -125,3 +129,141 @@ def test_fuzz_check_command(case):
                      "--allowlist", str(ws / "allow.txt"),
                      "-o", str(ws / "report.json")])
     assert code in (0, 1, 2)
+
+
+# The per-line validator as it stood before the per-kind field table, kept
+# unchanged in logic (its kind sets included) as the reference for the
+# table-driven one.
+_OLD_EVENT_KINDS = frozenset({
+    "load", "unload", "direct-call", "indirect-call", "direct-jump",
+    "indirect-jump", "return", "plt-call", "exception-unwind", "code-write",
+})
+_OLD_CALL_KINDS = frozenset({"direct-call", "indirect-call", "plt-call"})
+_OLD_TRANSFER_EVENT_KINDS = frozenset({
+    "direct-call", "indirect-call", "direct-jump", "indirect-jump",
+    "return", "plt-call",
+})
+
+
+def _old_event_from_obj(obj: dict, lineno: int) -> TraceEvent:
+    def fail(msg: str):
+        raise TraceError("malformed-trace", msg, line=lineno)
+
+    kind = obj.get("kind")
+    if not isinstance(kind, str) or kind not in _OLD_EVENT_KINDS:
+        fail(f"unknown event kind {kind!r}")
+    seq = obj.get("seq")
+    if type(seq) is not int or seq < 1:
+        fail(f"bad seq {seq!r}")
+    tid = obj.get("tid", 0)
+    if type(tid) is not int or tid < 0:
+        fail(f"bad tid {tid!r}")
+
+    def addr_field(name: str, required: bool) -> int | None:
+        raw = obj.get(name)
+        if raw is None:
+            if required:
+                fail(f"{kind} event missing {name!r}")
+            return None
+        try:
+            value = int(raw, 16) if isinstance(raw, str) else raw
+        except ValueError:
+            value = None
+        if type(value) is not int or not 0 <= value < ADDRESS_LIMIT:
+            fail(f"bad address {raw!r} in {name!r}")
+        return value
+
+    path = obj.get("path")
+    if kind in ("load", "unload") and not isinstance(path, str):
+        fail(f"{kind} event missing 'path'")
+    base = addr_field("base", required=(kind == "load"))
+    src = addr_field("src", required=kind in _OLD_TRANSFER_EVENT_KINDS)
+    dst = addr_field("dst", required=kind in _OLD_TRANSFER_EVENT_KINDS)
+    target = addr_field("target", required=(kind == "exception-unwind"))
+    addr = addr_field("addr", required=False)
+    length = obj.get("len")
+    if (kind in _OLD_CALL_KINDS or length is not None) and not (
+            type(length) is int and length > 0):
+        fail(f"{kind} event needs a positive 'len', got {length!r}")
+    return TraceEvent(seq=seq, tid=tid, kind=kind,
+                      path=path if isinstance(path, str) else None,
+                      base=base, src=src, dst=dst, length=length,
+                      target=target, addr=addr)
+
+
+def _validated(validate, obj: dict, lineno: int):
+    try:
+        return validate(obj, lineno)
+    except TraceError as exc:
+        return (exc.code, exc.message, exc.line)
+
+
+def _assert_validators_agree(obj: dict, lineno: int) -> None:
+    """Same event or same error; only a ``len`` above 15 newly fails."""
+    old = _validated(_old_event_from_obj, obj, lineno)
+    new = _validated(trace_mod._event_from_obj, obj, lineno)
+    if isinstance(old, TraceEvent) and old.length is not None \
+            and old.length > 15:
+        assert new == ("malformed-trace",
+                       f"{old.kind} event 'len' {old.length} exceeds the "
+                       f"15-byte x86 instruction limit (line {lineno})",
+                       lineno)
+    else:
+        assert new == old
+
+
+@FUZZ
+@given(mutated("trace.jsonl"))
+def test_fuzz_event_validator_matches_the_old_one(data):
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        return
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        try:
+            obj = json.loads(line)
+        except (ValueError, RecursionError):
+            continue
+        if isinstance(obj, dict):
+            _assert_validators_agree(obj, lineno)
+
+
+_BAD_ADDRESSES = ("zz", "0x100000000", -1, True, 1.5, [])
+#: A valid value for every field, then the invalid ones; ``None`` stands
+#: for an absent field.
+GOOD_FIELDS = {"kind": "load", "seq": 1, "tid": 0, "path": "libfoo.so",
+               "base": "0x1000", "src": 0x1004, "dst": "0x2000",
+               "target": "0x3000", "addr": "0x4000", "len": 15}
+BAD_FIELDS = {
+    "kind": ("bogus", ["load"], None),
+    "seq": (0, True, "1", None),
+    "tid": (-1, False, "0"),
+    "path": (5, ["a"], None),
+    **{name: _BAD_ADDRESSES + (None,)
+       for name in ("base", "src", "dst", "target", "addr")},
+    "len": (0, True, 16, 10**30, "5", None),
+}
+
+
+def field_combinations():
+    """Every kind with no, one and two invalid or absent fields."""
+    names = list(GOOD_FIELDS)
+    for kind in sorted(_OLD_EVENT_KINDS):
+        good = dict(GOOD_FIELDS, kind=kind)
+        yield good
+        for i, first in enumerate(names):
+            for bad in BAD_FIELDS[first]:
+                yield dict(good, **{first: bad})
+            for second in names[i + 1:]:
+                for bad1 in BAD_FIELDS[first][:1] + BAD_FIELDS[first][-1:]:
+                    for bad2 in BAD_FIELDS[second][:1] + BAD_FIELDS[second][-1:]:
+                        yield dict(good, **{first: bad1, second: bad2})
+
+
+def test_event_validator_matches_the_old_one_on_field_combinations():
+    count = 0
+    for obj in field_combinations():
+        obj = {k: v for k, v in obj.items() if v is not None}
+        _assert_validators_agree(obj, 1)
+        count += 1
+    assert count > 1000

@@ -110,9 +110,11 @@ def test_parse_rejects_bad_json_and_missing_fields():
     '{"seq":1' + "0" * 5000 + '}',
     "[" * 100000,
     b'{"seq":1,"kind":"code-write"}\xff',
+    '{"seq":1,"kind":"indirect-call","src":"0x1","dst":"0x2","len":1'
+    + "0" * 30 + '}',
 ], ids=["bool-seq", "bool-tid", "bool-len", "zero-len", "negative-base",
         "negative-src", "src-2^48", "src-2^32", "bool-src", "list-kind",
-        "huge-int", "deep-nesting", "not-utf8"])
+        "huge-int", "deep-nesting", "not-utf8", "len-10^30"])
 def test_parse_rejects_nonsense_fields(line):
     with pytest.raises(TraceError) as exc:
         parse_trace(line)
@@ -199,7 +201,7 @@ def test_unload_revokes_import_binding():
     report = replay(events, config, images)
     # the old address is gone; a call there is denied
     assert not report.clean
-    assert report.verdicts[-1].rule == "valid-instruction"
+    assert report.verdicts[-1][2].rule == "valid-instruction"
 
 
 def test_exception_unwind_events():
@@ -215,8 +217,25 @@ def test_exception_unwind_events():
                    dst=EXE_BASE + 0x1009)]
     report = replay(events, config, images)
     assert report.clean
-    unwind = [v for v in report.verdicts if v.kind == "exception-unwind"]
+    unwind = [v for _seq, kind, v in report.verdicts if kind == "exception-unwind"]
     assert unwind[0].decision == "allow" and "removed 1 frames" in unwind[0].reason
+
+
+def test_memo_hits_share_the_memo_verdict():
+    config, images = workspace_config()
+    call = TraceEvent(seq=0, tid=0, kind="direct-call", src=EXE_BASE + 0x1004,
+                      dst=LIB_BASE + 0x1000, length=5)
+    events = renumber(load_events() + [
+        call, call,
+        TraceEvent(seq=0, tid=0, kind="load", path="libfoo.so", base=0x50000000),
+        call])
+    replayer = Replayer(config, images)
+    report = replayer.replay(events)
+    first, hit, after_load = (v for _seq, kind, v in report.verdicts
+                              if kind == "direct-call")
+    assert hit is first
+    assert after_load is not first and after_load.allowed
+    assert (replayer.cache.hits, replayer.cache.misses) == (1, 2)
 
 
 def test_unwind_miss_is_distinct_violation():
@@ -235,16 +254,16 @@ def test_plt_call_resolved_and_unresolved():
                    dst=plt, length=5)]
     report = replay(ok, config, images)
     assert report.clean
-    assert report.verdicts[-1].rule == "plt-direct"
+    assert report.verdicts[-1][2].rule == "plt-direct"
 
     unresolved = [load_events()[0]] + [
         TraceEvent(seq=2, tid=0, kind="plt-call", src=EXE_BASE + 0x1004,
                    dst=plt, length=5)]
     report2 = replay(unresolved, config, images)
     assert not report2.clean
-    assert report2.verdicts[-1].rule == "plt-direct"
-    assert "unresolved" in report2.verdicts[-1].reason.lower() or \
-        "no loaded exporter" in report2.verdicts[-1].reason
+    assert report2.verdicts[-1][2].rule == "plt-direct"
+    assert "unresolved" in report2.verdicts[-1][2].reason.lower() or \
+        "no loaded exporter" in report2.verdicts[-1][2].reason
 
 
 def test_plt_call_to_non_plt_address_is_structural_error():
@@ -291,8 +310,8 @@ def test_plt_call_through_self_interposable_stub():
                    dst=base + 0x1010, length=5)]
     report = replay(events, modules={"libcorpus32.so": img})
     assert report.clean
-    assert report.verdicts[-1].rule == "plt-direct"
-    assert hex(base + img.export_value("corpus_add")) in report.verdicts[-1].reason
+    assert report.verdicts[-1][2].rule == "plt-direct"
+    assert hex(base + img.export_value("corpus_add")) in report.verdicts[-1][2].reason
 
 
 def test_plt_call_through_interposed_self_export():
@@ -316,8 +335,8 @@ def test_plt_call_through_interposed_self_export():
                    dst=0x30000000 + 0x1010, length=5)]
     report = replay(events, modules=modules)
     assert report.clean
-    assert report.verdicts[-1].rule == "plt-direct"
-    assert "0x20001000" in report.verdicts[-1].reason
+    assert report.verdicts[-1][2].rule == "plt-direct"
+    assert "0x20001000" in report.verdicts[-1][2].reason
     for order in (["interp.so", "libcorpus32.so"], ["libcorpus32.so", "interp.so"]):
         p = ProcessImage()
         for path in order:
@@ -455,8 +474,8 @@ def test_prefix_consistency():
         _specs, images2, sidecar2 = two_module_workspace()
         part = replay(events[:cut], ReplayConfig(sidecar=sidecar2), images2)
         assert part.verdicts == full.verdicts[:len(part.verdicts)]
-        assert [v.seq for v in full.verdicts[:len(part.verdicts)]] == \
-            [v.seq for v in part.verdicts]
+        assert [row[0] for row in full.verdicts[:len(part.verdicts)]] == \
+            [row[0] for row in part.verdicts]
 
 
 def test_report_schema():
@@ -518,7 +537,7 @@ def test_mutation_matrix(klass, decision, rule):
     changed = [i for i, (a, b) in enumerate(zip(base, mutated)) if a != b]
     assert len(changed) == 1
     seq = mutated[changed[0]].seq
-    verdict = next(v for v in report.verdicts if v.seq == seq)
+    verdict = next(v for row_seq, _kind, v in report.verdicts if row_seq == seq)
     assert (verdict.decision, verdict.rule) == (decision, rule)
     if decision == "deny":
         # no cross-talk: the mutation's event is the only violation
