@@ -18,8 +18,9 @@ the absolute call targets each source module M may reach, by grant kind:
 Configured allowlist entries (extra (module, symbol) grants) are added on
 top when a module's call-target set is computed.
 
-Mutations are serialized by the caller; every mutation bumps ``epoch`` so
-downstream caches can invalidate.  Module views (ranges, sorted function
+Mutations are serialized by the caller; every mutation bumps ``epoch``,
+which clears the per-epoch memos (call-target sets, extent counts) and lets
+downstream caches invalidate.  Module views (ranges, sorted function
 intervals, granule boundaries) are computed once per image, not per event.
 
 Address lookups go through an exec-range index: the executable ranges of
@@ -110,10 +111,6 @@ class TransferLookupTable:
         self.imported: dict[str, set[int]] = {}
         self.callbacks: set[int] = set()
 
-    def targets_for(self, scope: str) -> set[int]:
-        return (self.local.get(scope, set()) | self.imported.get(scope, set())
-                | self.callbacks)
-
     def snapshot(self) -> dict[int, dict[str, tuple[str, ...]]]:
         """Canonical, comparable copy: target -> {scope -> grant kinds}."""
         out: dict[int, dict[str, tuple[str, ...]]] = {}
@@ -147,7 +144,6 @@ class ProcessImage:
         self.allowlist = allowlist
         self._exec_starts: tuple[int, ...] = ()
         self._exec_owners: tuple[tuple[int, LoadedModule], ...] = ()
-        self._cache_epoch = -1
         self._target_cache: dict[str, frozenset[int]] = {}
         self._extent_cache: dict[tuple[str, tuple[int, int]], int] = {}
 
@@ -171,15 +167,14 @@ class ProcessImage:
         return hits[-1] if hits else None
 
     def call_target_set(self, module_id: str) -> frozenset[int]:
-        """All addresses the given module may call (table plus allowlist)."""
-        self._sync_caches()
+        """All addresses a loaded module may call (table plus allowlist)."""
         cached = self._target_cache.get(module_id)
-        if cached is not None:
-            return cached
-        result = frozenset(self.table.targets_for(module_id)
-                           | self._allowlist_targets(module_id))
-        self._target_cache[module_id] = result
-        return result
+        if cached is None:
+            table = self.table
+            cached = self._target_cache[module_id] = frozenset().union(
+                table.local[module_id], table.imported[module_id],
+                table.callbacks, self._allowlist_targets(module_id))
+        return cached
 
     def extent_non_targets(self, lm: LoadedModule,
                            extent: tuple[int, int]) -> int:
@@ -187,30 +182,18 @@ class ProcessImage:
         call: what a jump from the extent may reach beyond its call
         targets.  Memoized per epoch, so a jump costs no walk of the
         extent once the extent has been counted."""
-        self._sync_caches()
         key = (lm.module_id, extent)
         count = self._extent_cache.get(key)
         if count is None:
-            targets = self._target_cache.get(lm.module_id)
-            if targets is None:
-                targets = self.call_target_set(lm.module_id)
-            count = sum(1 for a in lm.instructions_in(*extent)
-                        if a not in targets)
-            self._extent_cache[key] = count
+            targets = self.call_target_set(lm.module_id)
+            count = self._extent_cache[key] = sum(
+                1 for a in lm.instructions_in(*extent) if a not in targets)
         return count
-
-    def _sync_caches(self) -> None:
-        if self._cache_epoch != self.epoch:
-            self._target_cache.clear()
-            self._extent_cache.clear()
-            self._cache_epoch = self.epoch
 
     def _allowlist_targets(self, module_id: str) -> set[int]:
         if not self.allowlist:
             return set()
-        lm = self.loaded.get(module_id)
-        if lm is None:
-            return set()
+        lm = self.loaded[module_id]
         basename = lm.path.rsplit("/", 1)[-1]
         wanted = {sym for key, sym in self.allowlist if key in (lm.path, basename)}
         out: set[int] = set()
@@ -299,8 +282,14 @@ class ProcessImage:
         self.loaded[module_id] = lm
         self._index_exec_ranges()
         self._extend_table_for(lm)
-        self.epoch += 1
+        self._bump_epoch()
         return lm
+
+    def _bump_epoch(self) -> None:
+        """Start a new epoch: every per-epoch memo is stale."""
+        self.epoch += 1
+        self._target_cache.clear()
+        self._extent_cache.clear()
 
     def _index_exec_ranges(self) -> None:
         ranges = sorted(((lo, hi, lm) for lm in self.loaded.values()
@@ -351,27 +340,21 @@ class ProcessImage:
         self.plt_resolutions = {
             (mid, plt): tgt for (mid, plt), tgt in self.plt_resolutions.items()
             if mid != module_id and not (lo <= tgt < hi)}
-        self.epoch += 1
+        self._bump_epoch()
 
     def admit_callbacks(self, findings: list[CallbackFinding]) -> int:
-        """Add scan findings to the callback set; returns how many were new.
+        """Add a freshly loaded module's distinct scan findings to the
+        callback set; returns how many were added.
 
-        Bumps the epoch only when the admitted set actually grows.
+        No live finding can repeat one: unloading a module drops every
+        finding it sourced or that lies in its span, so nothing is
+        deduplicated.  Bumps the epoch only when findings were added.
         """
-        known = {(f.address, f.pattern, f.source_module)
-                 for f in self.callback_findings}
-        added = 0
-        for f in findings:
-            key = (f.address, f.pattern, f.source_module)
-            if key in known:
-                continue
-            known.add(key)
-            self.callback_findings.append(f)
-            self.table.callbacks.add(f.address)
-            added += 1
-        if added:
-            self.epoch += 1
-        return added
+        self.callback_findings.extend(findings)
+        self.table.callbacks.update(f.address for f in findings)
+        if findings:
+            self._bump_epoch()
+        return len(findings)
 
     def resolve_plt(self, lm: LoadedModule, plt_address: int) -> int:
         """Resolve a PLT entry of ``lm`` to the first-loaded exporter's
