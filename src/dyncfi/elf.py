@@ -187,12 +187,6 @@ class ModuleImage:
                 return s
         return None
 
-    def section_at(self, offset: int) -> Section | None:
-        for s in self.sections:
-            if s.size > 0 and s.contains(offset):
-                return s
-        return None
-
     def in_executable_range(self, offset: int) -> bool:
         return any(lo <= offset < hi for lo, hi in self.executable_ranges)
 

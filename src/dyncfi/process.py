@@ -240,13 +240,15 @@ class ProcessImage:
                 i -= 1
                 if ivs[i][1] > off:
                     return (lm.base + ivs[i][0], lm.base + ivs[i][1])
-        section = mod.section_at(off)
-        if section is None or not section.executable:
+        ranges = mod.executable_ranges
+        i = bisect_left(ranges, (off + 1,))
+        if not i or ranges[i - 1][1] <= off:
             return None
+        sec_lo, sec_hi = ranges[i - 1]
         bounds = mod.granule_boundaries
         i = bisect_right(bounds, off)
-        lo = max(bounds[i - 1], section.virtual_offset) if i else section.virtual_offset
-        hi = min(bounds[i], section.end) if i < len(bounds) else section.end
+        lo = max(bounds[i - 1], sec_lo) if i else sec_lo
+        hi = min(bounds[i], sec_hi) if i < len(bounds) else sec_hi
         return (lm.base + lo, lm.base + hi)
 
     # -- mutations ---------------------------------------------------------

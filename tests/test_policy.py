@@ -197,6 +197,20 @@ def test_jump_target_set_counts_extent_and_call_targets():
     assert v.target_set_size == 6
 
 
+def test_jump_within_granule_of_text_at_offset_zero_is_intra_function():
+    """The unmapped .dynsym at offset 0 overlaps .text at offset 0; a jump
+    inside the second function's granule still stays in that function."""
+    spec = FixtureSpec(path="libzero.so", code=b"\x90" * 0x40, text_vaddr=0,
+                       symbols=(SymbolSpec("first", 0, 0),
+                                SymbolSpec("second", 0x20, 0)),
+                       instruction_offsets=(0x24, 0x28))
+    image = make_image(spec)
+    p = ProcessImage()
+    lm = p.load_module(image, LIB_BASE, imap_for(spec, image, True))
+    v = check_jump(p, lm, LIB_BASE + 0x24, LIB_BASE + 0x28)
+    assert v.allowed and v.rule == RULE_JUMP_INTRA, v
+
+
 def test_jump_walks_each_extent_once_per_epoch(monkeypatch):
     """A jump's target-set size needs the extent's instructions outside
     the call targets; that walk runs once per (module, extent) per epoch,

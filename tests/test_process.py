@@ -298,6 +298,24 @@ def test_extent_gap_fallback_in_nonstripped_module():
     assert (lo, hi) == (LIB_BASE + 0x1000, LIB_BASE + 0x1040)
 
 
+def test_extent_at_text_offset_zero_ignores_metadata_sections():
+    """Symbol and string tables sit unmapped at virtual offset 0.  With
+    .text at offset 0 too, an address below their sizes is still code and
+    still has its function's granule."""
+    spec = FixtureSpec(path="libzero.so", code=b"\x90" * 0x40, text_vaddr=0,
+                       symbols=(SymbolSpec("first", 0, 0),
+                                SymbolSpec("second", 0x20, 0)))
+    image = make_image(spec)
+    assert any(not s.executable and s.virtual_offset == 0 and s.end > 0x24
+               for s in image.sections)
+    for fixture in (spec, spec.stripped_twin()):
+        assert extents_match_oracle(fixture, make_image(fixture)) == 0x40
+    p = ProcessImage()
+    lm = p.load_module(image, LIB_BASE, derive_instruction_map(image))
+    assert p.function_extent(lm, LIB_BASE + 0x24) == (LIB_BASE + 0x20,
+                                                      LIB_BASE + 0x40)
+
+
 def overlapping_functions_spec(rng: random.Random) -> FixtureSpec:
     """Functions that nest, overlap, share a start, have size 0 or leave
     gaps, with an optional .plt as a second executable section."""
