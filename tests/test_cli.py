@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -264,6 +266,95 @@ def test_check_non_utf8_input_exits_2(workspace: Path, capsys, which):
     extra = () if which == "trace" else (f"--{which}", str(bad))
     assert run_check(workspace, trace, *extra) == 2
     assert "error: malformed-input" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Coded errors: each ends the command with exit 2 and one stderr line
+# ---------------------------------------------------------------------------
+
+LOAD_APP = '{"seq":1,"tid":0,"kind":"load","path":"app","base":"0x8048000"}\n'
+
+
+def exits_2_with(capsys, argv: list[str], message: str) -> None:
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_check_missing_sidecar_file(workspace: Path, capsys):
+    gone = workspace / "gone.sidecar"
+    exits_2_with(capsys, ["check", "--trace", str(workspace / "trace.jsonl"),
+                          "--sidecar", str(gone), "-o", str(workspace / "r.json")],
+                 f"missing-file: sidecar file not found: {gone}")
+
+
+def test_check_missing_allowlist_file(workspace: Path, capsys):
+    gone = workspace / "gone.allow"
+    exits_2_with(capsys, ["check", "--trace", str(workspace / "trace.jsonl"),
+                          "--allowlist", str(gone), "-o", str(workspace / "r.json")],
+                 f"missing-file: allowlist file not found: {gone}")
+
+
+def test_fixture_missing_spec_file(tmp_path: Path, capsys):
+    gone = tmp_path / "gone.json"
+    exits_2_with(capsys, ["fixture", "--spec", str(gone), "-o", str(tmp_path)],
+                 f"missing-file: spec file not found: {gone}")
+
+
+def test_check_unwritable_report_path(workspace: Path, capsys):
+    out = workspace / "no-such-dir" / "report.json"
+    assert run_check(workspace, "trace.jsonl", "-o", str(out)) == 2
+    err = FileNotFoundError(2, os.strerror(2), str(out))
+    assert capsys.readouterr().err == f"error: {err}\n"
+
+
+def test_analyze_truncated_elf64_header(tmp_path: Path, capsys):
+    short = tmp_path / "short64.so"
+    short.write_bytes(b"\x7fELF\x02\x01\x01".ljust(32, b"\x00"))
+    exits_2_with(capsys, ["analyze", "--elf64", str(short)],
+                 f"malformed-header: {short}: truncated ELF64 header")
+
+
+def test_analyze_overlapping_executable_sections(workspace: Path, capsys):
+    # The app fixture with its .plt (at 0x900) moved onto .text (0x1000).
+    data = bytearray((workspace / "mods" / "app").read_bytes())
+    (shoff,) = struct.unpack_from("<I", data, 32)
+    (shnum,) = struct.unpack_from("<H", data, 48)
+    for i in range(shnum):
+        addr_at = shoff + 40 * i + 12
+        if struct.unpack_from("<I", data, addr_at) == (0x900,):
+            struct.pack_into("<I", data, addr_at, 0x1000)
+    bad = workspace / "overlap.so"
+    bad.write_bytes(bytes(data))
+    exits_2_with(capsys, ["analyze", str(bad)],
+                 f"malformed-section: {bad}: overlapping executable sections "
+                 f"at 0x1000")
+
+
+def test_check_same_module_loaded_twice_at_one_base(workspace: Path, capsys):
+    (workspace / "twice.jsonl").write_text(
+        LOAD_APP + LOAD_APP.replace('"seq":1', '"seq":2'))
+    assert run_check(workspace, "twice.jsonl") == 2
+    assert capsys.readouterr().err == (
+        "error: overlapping-base: app already loaded at 0x8048000\n")
+
+
+def test_check_load_of_missing_module_file(workspace: Path, capsys):
+    (workspace / "gone.jsonl").write_text(LOAD_APP.replace("app", "libgone.so"))
+    assert run_check(workspace, "gone.jsonl") == 2
+    missing = workspace / "mods" / "libgone.so"
+    err = FileNotFoundError(2, os.strerror(2), str(missing))
+    assert capsys.readouterr().err == (
+        f"error: malformed-trace: cannot read module file 'libgone.so': {err} "
+        f"(event seq 1)\n")
+
+
+def test_check_unload_of_module_not_loaded(workspace: Path, capsys):
+    (workspace / "unload.jsonl").write_text(
+        LOAD_APP + '{"seq":2,"tid":0,"kind":"unload","path":"libfoo.so"}\n')
+    assert run_check(workspace, "unload.jsonl") == 2
+    assert capsys.readouterr().err == (
+        "error: malformed-trace: unload of module not loaded: libfoo.so "
+        "(event seq 2)\n")
 
 
 def test_console_entry_point_subprocess(workspace: Path):

@@ -86,6 +86,18 @@ def test_errors():
         DairTracker().total()
 
 
+@pytest.mark.parametrize("kind,allowed,message", [
+    ("indirect-call", -1, "negative target-set size at seq 7"),
+    ("direct-call", 1, "unknown transfer kind 'direct-call'"),
+], ids=["negative-size", "unknown-kind"])
+def test_record_transfer_rejects_what_no_replay_records(kind, allowed, message):
+    t = DairTracker()
+    with pytest.raises(MetricError) as exc:
+        t.record_transfer(kind, allowed, 100, seq=7)
+    assert (exc.value.code, exc.value.message) == ("invalid-universe", message)
+    assert t.n == 0
+
+
 def test_finalize_formats_percentages():
     t = DairTracker()
     t.record_transfer("indirect-call", 1, 100, seq=1)

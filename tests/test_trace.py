@@ -1,6 +1,7 @@
 """Trace engine: parsing, replay orchestration, reports, adversarial traces."""
 
 import json
+import struct
 from collections import Counter
 from dataclasses import replace
 
@@ -264,6 +265,67 @@ def test_plt_call_resolved_and_unresolved():
     assert report2.verdicts[-1][2].rule == "plt-direct"
     assert "unresolved" in report2.verdicts[-1][2].reason.lower() or \
         "no loaded exporter" in report2.verdicts[-1][2].reason
+
+
+def test_plt_call_bound_to_a_data_export_is_denied():
+    """The first-loaded exporter of a PLT stub's name exports it as a data
+    object: the stub binds to that address, and the call through it is
+    denied as a call to no instruction, with the call's own target set."""
+    config, images = workspace_config()
+    data_base = 0x50000000
+    modules = {"libdata.so": make_image(FixtureSpec(
+        path="libdata.so", code=b"\x90" * 0x40, data=b"\x00" * 8,
+        symbols=(SymbolSpec("foo", 0x3000, 4, kind="object"),))), **images}
+    events = renumber([
+        TraceEvent(seq=0, tid=0, kind="load", path="libdata.so", base=data_base),
+        *load_events(),
+        TraceEvent(seq=0, tid=0, kind="plt-call", src=EXE_BASE + 0x1004,
+                   dst=EXE_BASE + 0x900, length=5)])
+    replayer = Replayer(config, modules)
+    report = replayer.replay(events)
+    seq, kind, v = report.verdicts[-1]
+    assert (seq, kind, v.decision, v.rule) == (4, "plt-call", "deny",
+                                               "valid-instruction")
+    assert v.reason == f"call target {hex(data_base + 0x3000)} is outside loaded modules"
+    p = replayer.process
+    assert v.target_set_size == len(p.call_target_set(f"app@{EXE_BASE:#x}"))
+    assert p.plt_resolutions == {(f"app@{EXE_BASE:#x}", EXE_BASE + 0x900):
+                                 data_base + 0x3000}
+
+
+def test_reload_at_same_base_readmits_each_finding_once():
+    """load -> unload -> reload of one plugin at one base: the reload's
+    scan finds what the first load found, and unloading dropped all of it,
+    so no finding is held twice and the table equals a rebuild."""
+    config, images = workspace_config()
+    base = 0x50000000
+    plugin = make_image(FixtureSpec(
+        path="libcb.so", code=b"\x68" + struct.pack("<I", base + 0x1010)
+        + b"\x90" * 0x3B,
+        data=struct.pack("<II", EXE_BASE + 0x1000, LIB_BASE + 0x1040),
+        symbols=(SymbolSpec("cb_user", 0x1000, 0x10),
+                 SymbolSpec("cb", 0x1010, 0x10))))
+    load = TraceEvent(seq=0, tid=0, kind="load", path="libcb.so", base=base)
+    call = TraceEvent(seq=0, tid=0, kind="indirect-call", src=EXE_BASE + 0x1004,
+                      dst=base + 0x1010, length=5)
+    unload = TraceEvent(seq=0, tid=0, kind="unload", path="libcb.so", base=base)
+    first = renumber(load_events() + [load, call])
+    replayer = Replayer(config, {"libcb.so": plugin, **images})
+    assert replayer.replay(first).clean
+    found = list(replayer.process.callback_findings)
+    assert {(f.address, f.pattern) for f in found} >= {
+        (base + 0x1010, "push-imm32"), (EXE_BASE + 0x1000, "data-scan"),
+        (LIB_BASE + 0x1040, "data-scan")}
+
+    replayer = Replayer(config, {"libcb.so": plugin, **images})
+    report = replayer.replay(renumber(first + [unload, load, call]))
+    assert report.clean
+    assert [e["action"] for e in report.epochs].count("callback-scan") == 2
+    p = replayer.process
+    keys = [(f.address, f.pattern, f.source_module) for f in p.callback_findings]
+    assert len(keys) == len(set(keys))
+    assert p.callback_findings == found
+    assert p.table == p.rebuild_table()
 
 
 def test_plt_call_to_non_plt_address_is_structural_error():
