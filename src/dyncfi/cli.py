@@ -44,8 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_analyze = sub.add_parser("analyze", help="inspect module files")
     p_analyze.add_argument("paths", nargs="+")
-    p_analyze.add_argument("--elf64", action="store_true",
-                           help="accept ELF64 inputs")
 
     def add_replay_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--trace", required=True)
@@ -149,7 +147,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         p = Path(path)
         if not p.exists():
             raise DynCfiError("missing-file", f"no such module file: {path}")
-        image = parse_module(p.read_bytes(), path, allow_elf64=args.elf64)
+        image = parse_module(p.read_bytes(), path)
         reports.append(image.to_dict())
     print(json.dumps(reports if len(reports) > 1 else reports[0],
                      indent=2, sort_keys=True))

@@ -76,14 +76,6 @@ class DairTracker:
             kind_n[rec.kind] += 1
             yield rec.seq, acc / n, kind_sum, kind_n
 
-    def total(self) -> float:
-        total = None
-        for _seq, total, _kind_sum, _kind_n in self._running():
-            pass
-        if total is None:
-            raise MetricError("no-transfers", "no indirect transfers recorded")
-        return total
-
     def finalize(self) -> dict:
         """Summary with percentage formatting; raises when nothing ran."""
         if not self.records:

@@ -1,8 +1,9 @@
 """ELF shared-object model: parsing, fixture building, instruction maps.
 
-Parses ELF32 little-endian (x86) shared objects into a semantic
-:class:`ModuleImage` using only :mod:`struct`.  ELF64 parsing is available
-behind the ``allow_elf64`` capability flag.  The inverse direction,
+Parses ELF32 and ELF64 little-endian shared objects into a semantic
+:class:`ModuleImage` using only :mod:`struct`, choosing the layout by the
+header's ``EI_CLASS`` byte; replay maps ELF32 images only (see
+:meth:`dyncfi.process.ProcessImage.load_module`).  The inverse direction,
 :func:`build_fixture`, emits a minimal legal ELF32 image from a
 :class:`FixtureSpec` so tests and experiments can fabricate module sets
 with exact symbol/import/PLT layouts.
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import accumulate
@@ -311,13 +312,13 @@ class ModuleImage:
         return tuple(found)
 
     @cached_property
-    def instruction_maps(self) -> dict[SidecarTable | None, InstructionMap]:
-        """Instruction maps derived for this image, keyed by the
-        :class:`SidecarTable` that lists its path, or ``None`` when the
-        map comes from symbols.  A map is a pure function of the image and
-        its key, so one derivation serves every later load of the image.
-        """
-        return {}
+    def symbol_instruction_map(self) -> InstructionMap:
+        """Instruction starts known from symbols alone: the function starts
+        and PLT stubs that lie in executable sections."""
+        starts = self.exec_function_starts.union(
+            p.address for p in self.plt_entries
+            if self.in_executable_range(p.address))
+        return InstructionMap(offsets=tuple(sorted(starts)))
 
     def export_value(self, name: str) -> int | None:
         return self.export_values.get(name)
@@ -381,18 +382,18 @@ class InstructionMap:
 # Parsing
 # ---------------------------------------------------------------------------
 
-def parse_module(data: bytes, path: str, *, allow_elf64: bool = False) -> ModuleImage:
+def parse_module(data: bytes, path: str) -> ModuleImage:
     """Parse raw ELF bytes into a :class:`ModuleImage`.
+
+    The header's ``EI_CLASS`` byte selects the ELF32 or ELF64 layout, and
+    the image records it as ``elf_class``.
 
     Args:
         data: Complete file contents.
         path: Path label recorded on the image (also keys sidecar lookups).
-        allow_elf64: Accept ELF64 input; off by default since the policy
-            layer targets 32-bit x86.
 
     Raises:
-        ElfFormatError: On malformed headers, truncated tables, or an
-            ELF64 image without the capability flag.
+        ElfFormatError: On malformed headers or truncated tables.
     """
     if len(data) < 16 or data[:4] != ELF_MAGIC:
         raise ElfFormatError("malformed-header", f"{path}: missing ELF magic")
@@ -401,16 +402,10 @@ def parse_module(data: bytes, path: str, *, allow_elf64: bool = False) -> Module
     if ei_data != ELFDATA2LSB:
         raise ElfFormatError("malformed-header",
                              f"{path}: only little-endian images are supported")
-    if ei_class == ELFCLASS64:
-        if not allow_elf64:
-            raise ElfFormatError(
-                "unsupported-class",
-                f"{path}: ELF64 image but 64-bit support is disabled")
-        return _parse(data, path, is64=True)
-    if ei_class != ELFCLASS32:
+    if ei_class not in (ELFCLASS32, ELFCLASS64):
         raise ElfFormatError("malformed-header",
                              f"{path}: unknown ELF class {ei_class}")
-    return _parse(data, path, is64=False)
+    return _parse(data, path, is64=ei_class == ELFCLASS64)
 
 
 def _parse(data: bytes, path: str, *, is64: bool) -> ModuleImage:
@@ -953,24 +948,17 @@ def _validate_spec(spec: FixtureSpec) -> None:
 # Instruction boundary maps and sidecar files
 # ---------------------------------------------------------------------------
 
-class SidecarTable:
-    """Instruction boundaries from an external disassembly step.
+#: Instruction boundaries from an external disassembly step, one map per
+#: module path.
+SidecarTable = dict[str, InstructionMap]
+
+
+def load_sidecar(text: str) -> SidecarTable:
+    """Parse a sidecar file.
 
     Line format: ``<module-path> <hex-offset>``, offsets ascending per
     module.  Blank lines and ``#`` comments are ignored.
     """
-
-    def __init__(self, offsets_by_path: dict[str, tuple[int, ...]]) -> None:
-        self._by_path = offsets_by_path
-
-    def __contains__(self, path: str) -> bool:
-        return path in self._by_path
-
-    def offsets_for(self, path: str) -> tuple[int, ...]:
-        return self._by_path[path]
-
-
-def load_sidecar(text: str) -> SidecarTable:
     table: dict[str, list[int]] = {}
     # Only "\n" ends a line: a module path may hold U+2028 and friends.
     for lineno, line in enumerate(text.split("\n"), start=1):
@@ -992,7 +980,7 @@ def load_sidecar(text: str) -> SidecarTable:
             raise SidecarError("malformed-sidecar",
                                f"line {lineno}: offsets for {path} not ascending")
         bucket.append(off)
-    return SidecarTable({p: tuple(v) for p, v in table.items()})
+    return {p: InstructionMap(offsets=tuple(v)) for p, v in table.items()}
 
 
 def sidecar_lines(spec: FixtureSpec) -> list[str]:
@@ -1005,30 +993,32 @@ def sidecar_lines(spec: FixtureSpec) -> list[str]:
 
 def derive_instruction_map(module: ModuleImage,
                            sidecar: SidecarTable | None = None) -> InstructionMap:
-    """Build the valid-instruction-start map for one module.
+    """The valid-instruction-start map for one module.
 
-    With a sidecar the listed offsets are adopted verbatim (the external
-    disassembler is trusted to include every function entry).  Without
-    one, only function symbol starts are known: all of them for a
-    non-stripped module, exported ones otherwise.
+    With a sidecar, the map it lists for the module's path is adopted
+    verbatim (the external disassembler is trusted to include every
+    function entry).  Without one, only symbols are known:
+    :attr:`ModuleImage.symbol_instruction_map`, which holds every function
+    start of a non-stripped module and the exported ones otherwise.
 
     Raises:
         SidecarError: If a sidecar is supplied but does not reference this
             module's path, or lists offsets outside executable ranges.
     """
-    if sidecar is not None:
-        if module.path not in sidecar:
-            raise SidecarError("sidecar-module-mismatch",
-                               f"sidecar has no entries for {module.path!r}")
-        offsets = sidecar.offsets_for(module.path)
-        for off in offsets:
-            if not module.in_executable_range(off):
-                raise SidecarError(
-                    "sidecar-module-mismatch",
-                    f"{module.path}: offset {hex(off)} outside executable ranges")
-        return InstructionMap(offsets=tuple(offsets))
-    starts = {s.value for s in module.symbols
-              if s.kind == "function" and module.in_executable_range(s.value)}
-    starts.update(p.address for p in module.plt_entries
-                  if module.in_executable_range(p.address))
-    return InstructionMap(offsets=tuple(sorted(starts)))
+    if sidecar is None:
+        return module.symbol_instruction_map
+    imap = sidecar.get(module.path)
+    if imap is None:
+        raise SidecarError("sidecar-module-mismatch",
+                           f"sidecar has no entries for {module.path!r}")
+    # The offsets ascend and the ranges are disjoint, so every offset is
+    # executable exactly when the ranges hold all of them between them.
+    offsets = imap.offsets
+    inside = sum(bisect_left(offsets, hi) - bisect_left(offsets, lo)
+                 for lo, hi in module.executable_ranges)
+    if inside != len(offsets):
+        off = next(o for o in offsets if not module.in_executable_range(o))
+        raise SidecarError(
+            "sidecar-module-mismatch",
+            f"{module.path}: offset {hex(off)} outside executable ranges")
+    return imap

@@ -19,8 +19,7 @@ class DynCfiError(Exception):
 class ElfFormatError(DynCfiError):
     """Malformed or unsupported ELF input.
 
-    Codes: ``malformed-header``, ``truncated-section``, ``unsupported-class``,
-    ``malformed-section``.
+    Codes: ``malformed-header``, ``truncated-section``, ``malformed-section``.
     """
 
 
@@ -38,7 +37,7 @@ class ProcessError(DynCfiError):
 
     Codes: ``overlapping-base``, ``misaligned-base``, ``unknown-module``,
     ``base-out-of-range`` (the module would end past the 32-bit address
-    space).
+    space), ``unsupported-class`` (the image is not ELF32).
     """
 
 

@@ -36,13 +36,13 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
-from .elf import InstructionMap, ModuleImage
+from .elf import ELFCLASS32, InstructionMap, ModuleImage
 from .errors import ProcessError, ResolutionError
 
 PAGE_SIZE = 4096
 GLOBAL_SCOPE = "*"
 
-#: Replay loads ELF32 modules only, so every address is a 32-bit value.
+#: ``load_module`` maps ELF32 images only, so every address is 32-bit.
 ADDRESS_LIMIT = 1 << 32
 
 
@@ -181,7 +181,10 @@ class ProcessImage:
         """Valid instructions of ``lm`` in ``extent`` that ``lm`` may not
         call: what a jump from the extent may reach beyond its call
         targets.  Memoized per epoch, so a jump costs no walk of the
-        extent once the extent has been counted."""
+        extent once the extent has been counted.  A stripped module may
+        call every one of its instructions, so its count is always 0."""
+        if lm.module.stripped:
+            return 0
         key = (lm.module_id, extent)
         count = self._extent_cache.get(key)
         if count is None:
@@ -258,9 +261,15 @@ class ProcessImage:
         """Map ``image`` at ``base`` and extend the lookup table.
 
         Raises:
-            ProcessError: misaligned or overlapping base, or a base that
-                puts the module past the 32-bit address space.
+            ProcessError: an image that is not ELF32, a misaligned or
+                overlapping base, or a base that puts the module past the
+                32-bit address space.
         """
+        if image.elf_class != ELFCLASS32:
+            raise ProcessError(
+                "unsupported-class",
+                f"{image.path}: not an ELF32 image; replay maps 32-bit "
+                "modules only")
         if base % PAGE_SIZE:
             raise ProcessError("misaligned-base",
                                f"{image.path}: base {hex(base)} not page-aligned")

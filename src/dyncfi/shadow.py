@@ -26,11 +26,6 @@ class ShadowStack:
     def __len__(self) -> int:
         return len(self._frames)
 
-    @property
-    def frames(self) -> tuple[int, ...]:
-        """The return addresses, bottom of the stack first."""
-        return tuple(self._frames)
-
     def push_call(self, call_site: int, return_address: int) -> None:
         """Record a call; raises ``depth-exceeded`` past the bound."""
         if len(self._frames) >= self.max_depth:

@@ -328,17 +328,6 @@ class Replayer:
         self.modules[path] = img
         return img
 
-    def _imap_for(self, img: ModuleImage):
-        # Derived once per (image, sidecar) and kept on the image, so
-        # reloads and later Replayers sharing the image skip the work.
-        sidecar = self.config.sidecar
-        key = sidecar if sidecar is not None and img.path in sidecar else None
-        maps = img.instruction_maps
-        imap = maps.get(key)
-        if imap is None:
-            imap = maps[key] = derive_instruction_map(img, key)
-        return imap
-
     def _shadow(self, tid: int) -> ShadowStack:
         if tid not in self.shadows:
             self.shadows[tid] = ShadowStack()
@@ -390,7 +379,9 @@ class Replayer:
 
         if kind == "load":
             img = self._image_for(event.path, event.seq)
-            imap = self._imap_for(img)
+            sidecar = self.config.sidecar
+            listed = sidecar is not None and img.path in sidecar
+            imap = derive_instruction_map(img, sidecar if listed else None)
             lm = p.load_module(img, event.base, imap)
             self._note_epoch(report, event, "load", event.path)
             admitted = p.admit_callbacks(scan_callbacks(p, lm))
@@ -550,17 +541,15 @@ def generate_adversarial_trace(
         done = idx
         p = pre.process
         victim = events[idx]
+        # The clean base replay mapped every transfer's source.
         src_mod = p.exec_module_at(victim.src)
-        if src_mod is None:
-            continue
         try:
             new_dst = _mutated_target(mutation.kind, p, src_mod, victim)
         except MutationError as exc:
             last_error = exc
             continue
         return events[:idx] + [replace(victim, dst=new_dst)] + events[idx + 1:]
-    raise last_error or MutationError("mutation-out-of-range",
-                                      f"no mutable {wanted_kind} event")
+    raise last_error  # _mutated_target raised for every candidate
 
 
 def _mutated_target(kind: str, p: ProcessImage, src_mod, victim: TraceEvent) -> int:

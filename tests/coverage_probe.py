@@ -10,11 +10,15 @@ Commands the tests start in a subprocess are not traced.  Usage::
     PYTHONPATH=src python3 tests/coverage_probe.py [pytest args...]
 
 The pytest arguments default to this directory.  The exit status is
-pytest's.  A helper script, not a test: pytest does not collect it.
+pytest's when that is nonzero; otherwise it is 1 when the first line of
+any ``raise`` statement never ran (each is listed again at the end), and
+0 when every one did.  A helper script, not a test: pytest does not
+collect it.
 """
 
 from __future__ import annotations
 
+import ast
 import sys
 import threading
 from pathlib import Path
@@ -36,6 +40,12 @@ def executable_lines(path: Path) -> set[int]:
         pending.extend(c for c in code.co_consts if isinstance(c, CodeType))
     lines.discard(0)  # a module's RESUME sits at line 0
     return lines
+
+
+def raise_lines(path: Path) -> set[int]:
+    """First lines of the ``raise`` statements in ``path``."""
+    return {node.lineno for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Raise)}
 
 
 def main(argv: list[str]) -> int:
@@ -64,17 +74,24 @@ def main(argv: list[str]) -> int:
         threading.settrace(None)
 
     total = unrun_total = 0
+    unrun_raises: list[str] = []
     for path in sorted(SRC.glob("*.py")):
         lines = executable_lines(path)
         text = path.read_text().splitlines()
         unrun = sorted(lines - ran.get(str(path), set()))
+        raises = raise_lines(path)
         total += len(lines)
         unrun_total += len(unrun)
         for n in unrun:
-            print(f"{path.relative_to(SRC.parents[1])}:{n}: {text[n - 1].strip()}")
+            where = f"{path.relative_to(SRC.parents[1])}:{n}"
+            print(f"{where}: {text[n - 1].strip()}")
+            if n in raises:
+                unrun_raises.append(where)
     print(f"{total - unrun_total} of {total} executable lines ran; "
           f"{unrun_total} never ran")
-    return int(status)
+    for where in unrun_raises:
+        print(f"raise never ran: {where}")
+    return int(status) or int(bool(unrun_raises))
 
 
 if __name__ == "__main__":

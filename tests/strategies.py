@@ -14,6 +14,7 @@ from dyncfi import (
     ModuleImage,
     ProcessImage,
     RelocSpec,
+    ShadowStack,
     SymbolSpec,
     TraceEvent,
     build_fixture,
@@ -86,6 +87,11 @@ def check_table_targets_valid(process: ProcessImage) -> list[int]:
     be [])."""
     return [t for t in sorted(process.table.snapshot())
             if not process.is_instruction(t)]
+
+
+def shadow_frames(stack: ShadowStack) -> tuple[int, ...]:
+    """A shadow stack's return addresses, bottom of the stack first."""
+    return tuple(stack._frames)
 
 
 def imap_for(spec: FixtureSpec, image: ModuleImage, with_sidecar: bool):

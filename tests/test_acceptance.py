@@ -26,6 +26,7 @@ from strategies import (
     make_image,
     random_module_spec,
     random_process,
+    shadow_frames,
     check_table_targets_valid,
     two_module_workspace,
 )
@@ -149,11 +150,11 @@ def test_criterion_2_shadow_stack_properties():
         n = rng.randint(1, 48)
         for i in range(n):
             s.push_call(i, 0x1000 + 4 * i)
-        before = s.frames
+        before = shadow_frames(s)
         hit = rng.random() < 0.7
         target = 0x1000 + 4 * rng.randrange(n) if hit else 0xBAD0000
         found = s.unwind_to(target)
-        after = s.frames
+        after = shadow_frames(s)
         assert len(after) <= len(before)
         assert after == before[:len(after)]
         assert found == hit
@@ -177,17 +178,17 @@ def test_criterion_3_dair_arithmetic():
 
     t = DairTracker()
     t.record_transfer("indirect-call", 1, 100, seq=1)
-    assert t.total() == 0.99
+    assert t.finalize()["total"] == 0.99
 
     t = DairTracker()
     t.record_transfer("indirect-call", 1, 100, seq=1)
     t.record_transfer("indirect-call", 50, 100, seq=2)
-    assert t.total() == 0.745
+    assert t.finalize()["total"] == 0.745
 
     t = DairTracker()
     for i in range(40):
         t.record_transfer("return", 1, 10_000, seq=i + 1)
-    assert t.total() == pytest.approx(1 - 1 / 10_000, abs=1e-15)
+    assert t.finalize()["total"] == pytest.approx(1 - 1 / 10_000, abs=1e-15)
     assert t.finalize()["per_kind"]["return"]["pct"] == "99.99%"
 
     # recomputation tolerance over randomized replays
@@ -201,7 +202,7 @@ def test_criterion_3_dair_arithmetic():
                 rng.choice(["indirect-call", "indirect-jump", "return"]),
                 rng.randint(0, s), s, seq=i + 1)
         exact = float(oracle.recompute_dair(t.records))
-        assert abs(t.total() - exact) < 1e-12
+        assert abs(t.finalize()["total"] - exact) < 1e-12
         checked += 1
 
     elapsed = time.perf_counter() - t0
@@ -275,7 +276,8 @@ def test_criterion_4_stripping_ordering():
 
         for rf, rt in zip(full.dair.records, twin.dair.records):
             assert rt.allowed >= rf.allowed, "stripping must coarsen"
-        d_full, d_twin = full.dair.total(), twin.dair.total()
+        d_full = full.dair.finalize()["total"]
+        d_twin = twin.dair.finalize()["total"]
         assert d_full >= d_twin
         if with_local_call:
             assert d_full > d_twin, "local-symbol call must separate the twins"
@@ -397,7 +399,7 @@ def test_criterion_5_cache_transparency():
         assert r1.verdicts == r2.verdicts
         assert r1.to_json() == r2.to_json()
         if r1.dair.n:
-            assert abs(r1.dair.total() -
+            assert abs(r1.dair.finalize()["total"] -
                        float(oracle.recompute_dair(r1.dair.records))) < 1e-12
         for rec in r1.dair.records:
             assert 0 <= rec.allowed <= rec.universe

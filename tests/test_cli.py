@@ -79,7 +79,7 @@ def test_analyze_reports_locals_and_stripped(workspace: Path, capsys):
      "5641b2ca716573e7015e0c93c17c2a585f51ddca1cc01df7950f102634cc345a"),
     (["libcorpus32-stripped.so"],
      "5b81ff31c44fd3ee25c68a2f351c8da6a287edd85748b10c0106ff012829ee6b"),
-    (["--elf64", "libcorpus64.so"],
+    (["libcorpus64.so"],
      "88bed358ebabc0af5b270dedd0b5f3dfcfd251b055befec903303ae15c060ada"),
 ], ids=["corpus32", "corpus32-stripped", "corpus64"])
 def test_analyze_corpus_output_is_pinned(monkeypatch, capsys, args, digest):
@@ -178,6 +178,20 @@ def test_check_dump_image_snapshot(workspace: Path):
             "table_targets"} <= set(snap)
     assert [m["path"] for m in snap["modules"]] == ["app", "libfoo.so"]
     assert snap["modules"][0]["imports"] == {"foo": snap["modules"][1]["module_id"]}
+
+
+def test_check_dump_image_after_plt_call(workspace: Path):
+    (workspace / "plt.jsonl").write_text("\n".join(TRACE.splitlines()[:2]) + """
+{"seq":3,"tid":0,"kind":"plt-call","src":"0x8049004","dst":"0x8048900","len":5}
+""")
+    assert main(["check", "--trace", str(workspace / "plt.jsonl"),
+                 "--sidecar", str(workspace / "mods" / "boundaries.sidecar"),
+                 "--module-root", str(workspace / "mods"),
+                 "--dump-image", str(workspace / "image.json"),
+                 "-o", str(workspace / "report.json")]) == 0
+    snap = json.loads((workspace / "image.json").read_text())
+    # app's foo@plt resolved to libfoo.so's foo (0x40000000 + 0x1000).
+    assert snap["plt_resolutions"] == {"app@0x8048000+0x8048900": "0x40001000"}
 
 
 def test_dair_stripped_twin_ordering(workspace: Path, capsys):
@@ -310,7 +324,7 @@ def test_check_unwritable_report_path(workspace: Path, capsys):
 def test_analyze_truncated_elf64_header(tmp_path: Path, capsys):
     short = tmp_path / "short64.so"
     short.write_bytes(b"\x7fELF\x02\x01\x01".ljust(32, b"\x00"))
-    exits_2_with(capsys, ["analyze", "--elf64", str(short)],
+    exits_2_with(capsys, ["analyze", str(short)],
                  f"malformed-header: {short}: truncated ELF64 header")
 
 
@@ -355,6 +369,76 @@ def test_check_unload_of_module_not_loaded(workspace: Path, capsys):
     assert capsys.readouterr().err == (
         "error: malformed-trace: unload of module not loaded: libfoo.so "
         "(event seq 2)\n")
+
+
+def test_check_load_of_elf64_module(tmp_path: Path, capsys):
+    (tmp_path / "load64.jsonl").write_text(
+        '{"seq":1,"tid":0,"kind":"load","path":"libcorpus64.so",'
+        '"base":"0x10000000"}\n')
+    exits_2_with(capsys, ["check", "--trace", str(tmp_path / "load64.jsonl"),
+                          "--module-root", str(CORPUS_DIR),
+                          "-o", str(tmp_path / "r.json")],
+                 "unsupported-class: libcorpus64.so: not an ELF32 image; "
+                 "replay maps 32-bit modules only")
+
+
+@pytest.mark.parametrize("module,message", [
+    ({"relocations": [{"offset": "0x100"}]},
+     "relocation offset 0x100 outside writable sections"),
+    ({"text_vaddr": "0x900", "imports": ["f"], "plt": ["f"]},
+     "a.so: sections .plt and .text overlap"),
+    ({"symbols": [{"name": "", "value": "0x1000"}]},
+     "a.so: symbol with empty name"),
+    ({"symbols": [{"name": "f", "value": "0x1000"},
+                  {"name": "f", "value": "0x1004"}]},
+     "a.so: duplicate symbol name 'f'"),
+    ({"instruction_offsets": ["0x2000"]},
+     "a.so: instruction offset 0x2000 outside executable sections"),
+], ids=["relocation-outside", "overlap", "empty-name", "duplicate-name",
+        "offset-outside"])
+def test_fixture_inconsistent_spec_exits_2(tmp_path: Path, capsys, module,
+                                           message):
+    (tmp_path / "spec.json").write_text(
+        json.dumps({"path": "a.so", "code_size": 16, **module}))
+    exits_2_with(capsys, ["fixture", "--spec", str(tmp_path / "spec.json"),
+                          "-o", str(tmp_path / "out")],
+                 f"inconsistent-spec: {message}")
+
+
+# One module whose every byte is a known instruction: a clean local call
+# and an intra-function jump, with no other module and no mid-instruction
+# address to redirect to.
+TINY_SPEC = {"path": "libtiny.so", "code_size": 4,
+             "symbols": [{"name": "f", "value": "0x1000", "size": 4}],
+             "instruction_offsets": ["0x1001", "0x1002", "0x1003"]}
+TINY_TRACE = """\
+{"seq":1,"tid":0,"kind":"load","path":"libtiny.so","base":"0x10000000"}
+{"seq":2,"tid":0,"kind":"indirect-call","src":"0x10001000","dst":"0x10001000","len":1}
+{"seq":3,"tid":0,"kind":"indirect-jump","src":"0x10001001","dst":"0x10001003"}
+"""
+
+
+@pytest.mark.parametrize("mutation,message", [
+    ("call", "every loaded function is callable from the source"),
+    ("jump", "no mid-instruction address available"),
+    ("jump-cross", "no cross-module non-target instruction available"),
+])
+def test_mutate_without_mutable_target_exits_2(tmp_path: Path, capsys,
+                                               mutation, message):
+    (tmp_path / "spec.json").write_text(json.dumps(TINY_SPEC))
+    assert main(["fixture", "--spec", str(tmp_path / "spec.json"),
+                 "-o", str(tmp_path / "mods")]) == 0
+    (tmp_path / "tiny.jsonl").write_text(TINY_TRACE)
+    sidecar = str(tmp_path / "mods" / "boundaries.sidecar")
+    assert main(["check", "--trace", str(tmp_path / "tiny.jsonl"),
+                 "--sidecar", sidecar, "--module-root", str(tmp_path / "mods"),
+                 "-o", str(tmp_path / "r.json")]) == 0
+    capsys.readouterr()
+    exits_2_with(capsys, ["mutate", "--trace", str(tmp_path / "tiny.jsonl"),
+                          "--class", mutation, "--sidecar", sidecar,
+                          "--module-root", str(tmp_path / "mods"),
+                          "-o", str(tmp_path / "x.jsonl")],
+                 f"mutation-out-of-range: {message}")
 
 
 def test_console_entry_point_subprocess(workspace: Path):

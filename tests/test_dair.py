@@ -16,23 +16,23 @@ from dyncfi.dair import DairTracker
 def test_single_transfer_worked_value():
     t = DairTracker()
     t.record_transfer("indirect-call", 1, 100, seq=1)
-    assert t.total() == pytest.approx(0.99, abs=0)
-    assert t.total() == 0.99
+    assert t.finalize()["total"] == pytest.approx(0.99, abs=0)
+    assert t.finalize()["total"] == 0.99
 
 
 def test_two_transfer_worked_value():
     t = DairTracker()
     t.record_transfer("indirect-call", 1, 100, seq=1)
     t.record_transfer("indirect-jump", 50, 100, seq=2)
-    assert t.total() == (0.99 + 0.50) / 2
-    assert t.total() == 0.745
+    assert t.finalize()["total"] == (0.99 + 0.50) / 2
+    assert t.finalize()["total"] == 0.745
 
 
 def test_all_return_trace_matches_shadow_stack_pinning():
     t = DairTracker()
     for i in range(25):
         t.record_transfer("return", 1, 10_000, seq=i + 1)
-    assert t.total() == pytest.approx(1 - 1 / 10_000, abs=1e-15)
+    assert t.finalize()["total"] == pytest.approx(1 - 1 / 10_000, abs=1e-15)
     assert t.finalize()["total_pct"] == "99.99%"
 
 
@@ -44,7 +44,7 @@ def test_independent_recomputation_within_tolerance():
         t.record_transfer(rng.choice(["indirect-call", "indirect-jump", "return"]),
                           rng.randint(0, s), s, seq=i + 1)
     exact = float(oracle.recompute_dair(t.records))
-    assert abs(t.total() - exact) < 1e-12
+    assert abs(t.finalize()["total"] - exact) < 1e-12
     assert abs(oracle.recompute_dair_floats(t.records) - exact) < 1e-12
 
 
@@ -58,7 +58,7 @@ def test_per_kind_decomposition():
     per_kind = t.finalize()["per_kind"]
     assert sum(v["n"] for v in per_kind.values()) == t.n
     weighted = sum(v["value"] * v["n"] for v in per_kind.values())
-    assert abs(weighted / t.n - t.total()) < 1e-12
+    assert abs(weighted / t.n - t.finalize()["total"]) < 1e-12
 
 
 @settings(max_examples=200, deadline=None)
@@ -71,7 +71,7 @@ def test_range_property(pairs):
         allowed = min(allowed, universe)
         s_max = max(s_max, universe)
         t.record_transfer("indirect-call", allowed, universe, seq=i + 1)
-    assert 0.0 <= t.total() <= 1.0 - 1.0 / s_max + 1e-15
+    assert 0.0 <= t.finalize()["total"] <= 1.0 - 1.0 / s_max + 1e-15
 
 
 def test_errors():
@@ -83,7 +83,7 @@ def test_errors():
         t.finalize()
     assert exc.value.code == "no-transfers"
     with pytest.raises(MetricError):
-        DairTracker().total()
+        DairTracker().finalize()
 
 
 @pytest.mark.parametrize("kind,allowed,message", [

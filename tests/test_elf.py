@@ -173,14 +173,18 @@ def test_parse_rejects_truncated_sections():
     assert exc.value.code in ("truncated-section", "malformed-header")
 
 
-def test_parse_rejects_elf64_without_capability():
+def test_parse_reads_elf_class_from_header():
+    """The header's EI_CLASS byte alone picks the ELF32 or ELF64 layout."""
+    assert parse_module(open(CORPUS_NONSTRIPPED_32, "rb").read(),
+                        "lib32").elf_class == 1
     data = open(CORPUS_64, "rb").read()
-    with pytest.raises(ElfFormatError) as exc:
-        parse_module(data, "lib64")
-    assert exc.value.code == "unsupported-class"
-    img = parse_module(data, "lib64", allow_elf64=True)
+    img = parse_module(data, "lib64")
     assert img.elf_class == 2
     assert img.exports
+    with pytest.raises(ElfFormatError) as exc:
+        parse_module(data[:4] + b"\x03" + data[5:], "lib64")
+    assert (exc.value.code, exc.value.message) == (
+        "malformed-header", "lib64: unknown ELF class 3")
 
 
 def test_build_rejects_inconsistent_specs():
@@ -193,6 +197,17 @@ def test_build_rejects_inconsistent_specs():
             SymbolSpec("x", 0x1100, 4, binding="local", exported=True),)))
     with pytest.raises(FixtureError):
         build_fixture(simple_spec(code=b""))
+
+
+def test_build_rejects_jmp_slot_relocation_spec():
+    # FixtureSpec.from_dict never sets a kind, so only the API reaches this.
+    spec = simple_spec(relocations=(RelocSpec(0x3000, kind="jmp-slot"),))
+    with pytest.raises(FixtureError) as exc:
+        build_fixture(spec)
+    assert (exc.value.code, exc.value.message) == (
+        "inconsistent-spec",
+        f"{spec.path}: unsupported relocation kind 'jmp-slot' "
+        f"(jmp-slot derives from plt)")
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +238,7 @@ def test_real_library_exports_match_readelf(path, expect_stripped):
 
 @requires_readelf
 def test_elf64_exports_match_readelf():
-    img = parse_module(open(CORPUS_64, "rb").read(), CORPUS_64,
-                       allow_elf64=True)
+    img = parse_module(open(CORPUS_64, "rb").read(), CORPUS_64)
     assert set(img.exports) == readelf_dynsym_exports(CORPUS_64)
 
 
@@ -282,7 +296,7 @@ def test_corpus_imports_and_relocations_match_readelf():
     pytest.param(CORPUS_64, id="corpus64"),
 ])
 def test_corpus_plt_entries_match_objdump(path):
-    img = parse_module(open(path, "rb").read(), path, allow_elf64=True)
+    img = parse_module(open(path, "rb").read(), path)
     expected = objdump_plt_entries(path)
     # the self-interposable exports' stubs as well as the imports' ones
     assert {"corpus_add", "corpus_weak", "ext_open", "ext_log"} <= \
@@ -381,7 +395,7 @@ def test_sidecar_mismatch_and_validation_errors():
 
 def test_sidecar_ignores_comments_and_blank_lines():
     table = load_sidecar("# boundaries\n\nlibfoo.so 0x1100\n  \nlibfoo.so 0x1104\n")
-    assert table.offsets_for("libfoo.so") == (0x1100, 0x1104)
+    assert table["libfoo.so"].offsets == (0x1100, 0x1104)
 
 
 # Only "\n" ends a sidecar line, so a path may hold U+2028 and friends.
@@ -389,7 +403,7 @@ def test_sidecar_ignores_comments_and_blank_lines():
                          ids=["plain", "raw-line-separators"])
 def test_sidecar_path_line_separators(path):
     table = load_sidecar(f"{path} 0x1100\n{path} 0x1104\n")
-    assert table.offsets_for(path) == (0x1100, 0x1104)
+    assert table[path].offsets == (0x1100, 0x1104)
 
 
 def test_sidecar_lines_round_trip():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strategies import balanced_shadow_ops
+from strategies import balanced_shadow_ops, shadow_frames
 
 from dyncfi import ShadowStack, ShadowStackError
 
@@ -15,7 +15,7 @@ def test_push_and_matching_return():
     s = ShadowStack()
     s.push_call(0x100, 0x105)
     assert len(s) == 1
-    assert s.frames[-1] == 0x105
+    assert shadow_frames(s)[-1] == 0x105
     v = s.pop_and_check(0x105)
     assert v.allowed and len(s) == 0
     assert v.target_set_size == 1
@@ -25,7 +25,7 @@ def test_lifo_order_preserved():
     s = ShadowStack()
     s.push_call(0x100, 0x105)
     s.push_call(0x200, 0x203)
-    assert list(s.frames) == [0x105, 0x203]
+    assert list(shadow_frames(s)) == [0x105, 0x203]
     assert s.pop_and_check(0x203).allowed
     assert s.pop_and_check(0x105).allowed
 
@@ -61,7 +61,7 @@ def test_unwind_removes_frames_above_match():
     for i, ra in enumerate((0xA, 0xB, 0xC)):
         s.push_call(i, ra)
     assert s.unwind_to(0xA)
-    assert list(s.frames) == [0xA]
+    assert list(shadow_frames(s)) == [0xA]
 
 
 def test_unwind_to_absent_address_leaves_stack():
@@ -69,7 +69,7 @@ def test_unwind_to_absent_address_leaves_stack():
     for i, ra in enumerate((0xA, 0xB)):
         s.push_call(i, ra)
     assert not s.unwind_to(0x999)
-    assert list(s.frames) == [0xA, 0xB]
+    assert list(shadow_frames(s)) == [0xA, 0xB]
 
 
 def test_unwind_to_top_frame_is_degenerate():
@@ -129,11 +129,11 @@ def test_monotone_unwind_never_changes_surviving_frames(seed, n_frames, probe):
     s = ShadowStack()
     for i in range(n_frames):
         s.push_call(i, rng.randrange(2**32))
-    before = s.frames
+    before = shadow_frames(s)
     target = (before[probe % n_frames]
               if rng.random() < 0.7 else rng.randrange(2**32))
     found = s.unwind_to(target)
-    after = s.frames
+    after = shadow_frames(s)
     assert len(after) <= len(before)
     assert after == before[:len(after)]
     if not found:
@@ -151,5 +151,5 @@ def test_replay_determinism():
                 s.push_call(op[1], op[2])
             else:
                 s.pop_and_check(op[1])
-            states.append(s.frames)
+            states.append(shadow_frames(s))
     assert states1 == states2

@@ -21,6 +21,7 @@ from dyncfi import (
     FixtureSpec,
     MutationError,
     MutationSpec,
+    ProcessError,
     ProcessImage,
     ReplayConfig,
     Replayer,
@@ -38,7 +39,7 @@ from dyncfi import (
     sidecar_lines,
 )
 from dyncfi import trace as trace_mod
-from elf_corpus import CORPUS_NONSTRIPPED_32
+from elf_corpus import CORPUS_64, CORPUS_NONSTRIPPED_32
 
 CALL = TraceEvent(seq=3, tid=0, kind="indirect-call",
                   src=EXE_BASE + 0x1004, dst=LIB_BASE + 0x1000, length=5)
@@ -408,7 +409,7 @@ def test_plt_call_through_interposed_self_export():
 
 
 # ---------------------------------------------------------------------------
-# instruction maps, derived once per (image, sidecar)
+# instruction maps: owned by the sidecar or by the image, looked up per load
 # ---------------------------------------------------------------------------
 
 def counted_derivations(monkeypatch) -> Counter:
@@ -428,19 +429,23 @@ RELOAD = [TraceEvent(seq=5, tid=0, kind="unload", path="libfoo.so"),
           TraceEvent(seq=6, tid=0, kind="load", path="libfoo.so", base=LIB_BASE)]
 
 
-def test_instruction_map_derived_once_per_image_across_replayers(monkeypatch):
+def test_loaded_module_holds_the_sidecar_map_across_replayers(monkeypatch):
     calls = counted_derivations(monkeypatch)
     config, images = workspace_config()
-    reports = [Replayer(config, images).replay(clean_events() + RELOAD)
-               for _ in range(2)]
+    replayers = [Replayer(config, images) for _ in range(2)]
+    reports = [r.replay(clean_events() + RELOAD) for r in replayers]
     assert reports[0].to_json() == reports[1].to_json()
     assert reports[0].clean
-    assert sorted(calls.values()) == [1, 1]
+    # One lookup per load (three per replay), each adopting the sidecar's
+    # own map for the path: reloads and Replayers share one object.
+    assert sorted(calls.values()) == [2, 4]
     assert set(calls) == {(id(img), id(config.sidecar)) for img in images.values()}
+    for r in replayers:
+        for lm in r.process.loaded.values():
+            assert lm.imap is config.sidecar[lm.path]
 
 
-def test_second_sidecar_gets_its_own_instruction_map(monkeypatch):
-    calls = counted_derivations(monkeypatch)
+def test_second_sidecar_gets_its_own_instruction_map():
     specs, images, sidecar = two_module_workspace()
     entries_only = load_sidecar("\n".join(
         f"{s.path} {sym.value:#x}" for s in specs.values() for sym in s.symbols))
@@ -448,29 +453,27 @@ def test_second_sidecar_gets_its_own_instruction_map(monkeypatch):
     first.replay(load_events())
     second = Replayer(ReplayConfig(sidecar=entries_only), images)
     second.replay(load_events())
-    assert sorted(calls.values()) == [1, 1, 1, 1]
-    for path, img in images.items():
-        assert set(img.instruction_maps) == {sidecar, entries_only}
-        assert first.process.by_path(path).imap.offsets == sidecar.offsets_for(path)
-        assert second.process.by_path(path).imap.offsets == \
-            entries_only.offsets_for(path)
+    for path in images:
+        assert first.process.by_path(path).imap is sidecar[path]
+        assert second.process.by_path(path).imap is entries_only[path]
+        assert sidecar[path].offsets != entries_only[path].offsets
 
 
-def test_stripped_twin_gets_its_own_instruction_map(monkeypatch):
-    calls = counted_derivations(monkeypatch)
+def test_stripped_twin_gets_its_own_instruction_map():
     _specs, images, _sidecar = two_module_workspace()
     lib = images["libfoo.so"]
     full = Replayer(modules=images)
     full.replay(load_events())
     twin = lib.stripped_twin()
-    assert twin.instruction_maps == {}
     stripped = Replayer(modules=dict(images, **{"libfoo.so": twin}))
     stripped.replay(load_events())
-    assert calls[(id(twin), id(None))] == 1 and calls[(id(lib), id(None))] == 1
-    # Without a sidecar the twin knows only its exported entries.
-    assert full.process.by_path("libfoo.so").imap.offsets == (
-        0x1000, 0x1040, 0x1080, 0x10a0)
-    assert stripped.process.by_path("libfoo.so").imap.offsets == (0x1000, 0x1040)
+    # Without a sidecar each image's own symbol map is adopted, and the
+    # twin, a separate image, knows only its exported entries.
+    assert full.process.by_path("libfoo.so").imap is lib.symbol_instruction_map
+    assert stripped.process.by_path("libfoo.so").imap is \
+        twin.symbol_instruction_map
+    assert lib.symbol_instruction_map.offsets == (0x1000, 0x1040, 0x1080, 0x10a0)
+    assert twin.symbol_instruction_map.offsets == (0x1000, 0x1040)
 
 
 def test_bad_sidecar_offset_fails_every_load(monkeypatch):
@@ -481,9 +484,23 @@ def test_bad_sidecar_offset_fails_every_load(monkeypatch):
     for _ in range(2):
         with pytest.raises(SidecarError) as exc:
             Replayer(ReplayConfig(sidecar=bad), images).replay(load_events())
-        assert exc.value.code == "sidecar-module-mismatch"
+        assert (exc.value.code, exc.value.message) == (
+            "sidecar-module-mismatch",
+            "libfoo.so: offset 0x9000 outside executable ranges")
     assert calls[(id(images["libfoo.so"]), id(bad))] == 2
-    assert images["libfoo.so"].instruction_maps == {}
+
+
+def test_elf64_image_passed_in_is_refused_at_load():
+    """Replay maps ELF32 images only, however the image was parsed."""
+    img = parse_module(open(CORPUS_64, "rb").read(), "libcorpus64.so")
+    replayer = Replayer(modules={"libcorpus64.so": img})
+    with pytest.raises(ProcessError) as exc:
+        replayer.replay([TraceEvent(seq=1, tid=0, kind="load",
+                                    path="libcorpus64.so", base=0x10000000)])
+    assert (exc.value.code, exc.value.message) == (
+        "unsupported-class",
+        "libcorpus64.so: not an ELF32 image; replay maps 32-bit modules only")
+    assert not replayer.process.loaded
 
 
 def test_direct_transfers_excluded_from_metric():
@@ -559,7 +576,7 @@ def test_report_schema():
 def test_dair_total_matches_independent_recomputation():
     config, images = workspace_config()
     report = replay(clean_events(), config, images)
-    assert abs(report.dair.total() -
+    assert abs(report.dair.finalize()["total"] -
                float(oracle.recompute_dair(report.dair.records))) < 1e-12
 
 
@@ -637,6 +654,21 @@ def test_mutation_requires_clean_base():
                    dst=LIB_BASE + 0x1040, length=5)]
     with pytest.raises(MutationError):
         generate_adversarial_trace(bad, MutationSpec("ret"), config, images)
+
+
+@pytest.mark.parametrize("klass,kind", [
+    ("ret", "return"), ("call", "indirect-call"), ("jump", "indirect-jump")])
+def test_mutation_base_replay_rejects_an_unmapped_source(klass, kind):
+    """A transfer from outside every module ends the base replay, so the
+    mutation loop only ever sees candidates whose source is mapped."""
+    config, images = workspace_config()
+    stray = TraceEvent(seq=3, tid=0, kind=kind, src=0x7000,
+                       dst=LIB_BASE + 0x1000,
+                       length=5 if kind == "indirect-call" else None)
+    with pytest.raises(TraceError) as exc:
+        generate_adversarial_trace(load_events() + [stray],
+                                   MutationSpec(klass), config, images)
+    assert (exc.value.code, exc.value.seq) == ("address-outside-modules", 3)
 
 
 def test_mutation_without_eligible_event_errors():
